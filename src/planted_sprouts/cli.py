@@ -23,13 +23,7 @@ def _read_play(args) -> game.PlaySequence:
 
 
 def _parse_edges(text: str):
-    pairs = []
-    for token in text.strip().split(","):
-        parts = token.strip().split("-")
-        if len(parts) != 2:
-            raise ValueError(f"bad edge token {token!r}; expected 'i-j'")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return pairs
+    return game._pairs_from_text(text.strip(), "edge", "i-j")
 
 
 def _edges_text(edges) -> str:
@@ -57,9 +51,7 @@ def _cmd_enumerate_games(args) -> int:
 
 
 def _cmd_enumerate_endstates(args) -> int:
-    signatures = set()
-    for play in enumeration.enumerate_games(args.n):
-        signatures.add(frozenset(tuple(sorted(arc)) for arc in play.moves))
+    signatures = {frozenset(arcs) for arcs, _ in game._walk_plays(args.n)}
     for sig in sorted(signatures, key=lambda s: sorted(s)):
         if args.format == "json":
             print(game.edges_to_json(args.n, sig))
@@ -82,10 +74,7 @@ def _cmd_to_tree(args) -> int:
 
 def _cmd_to_parking(args) -> int:
     pf = parking.game_to_parking(_read_play(args))
-    if args.format == "json":
-        print(json.dumps(list(pf.values)))
-    else:
-        print(parking.parking_to_text(pf))
+    print(json.dumps(list(pf.values)) if args.format == "json" else parking.parking_to_text(pf))
     return 0
 
 

@@ -22,7 +22,7 @@ from .factorizations import (
     successor_cycle,
     transpositions_to_game,
 )
-from .game import PlaySequence, apply_move, new_game, replay
+from .game import PlaySequence, _walk_plays, replay
 from .parking import ParkingFunction, game_to_parking, is_parking_function, parking_to_game
 from .poset import build_poset, games_with_endstate, linear_extensions
 from .trees import (
@@ -51,26 +51,8 @@ def enumerate_games(n: int, first_arc=None):
     """Every complete legal play exactly once, depth-first, trying arcs in
     lexicographic order at each stage.  Optionally restricted to plays whose
     first move draws `first_arc` (for partitioned runs)."""
-    if n < 1:
-        raise ValueError(f"game order must be positive, got {n}")
-
-    def rec(state, prefix):
-        if state.is_complete():
-            yield PlaySequence.of(n, prefix)
-            return
-        options = []
-        for si, sg in enumerate(state.subgames):
-            m = len(sg)
-            for p in range(m):
-                for q in range(p + 1, m):
-                    arc = (min(sg[p][0], sg[q][0]), max(sg[p][0], sg[q][0]))
-                    options.append((arc, si, p, q))
-        for arc, si, p, q in sorted(options):
-            if first_arc is not None and not prefix and arc != tuple(first_arc):
-                continue
-            yield from rec(apply_move(state, si, p, q), prefix + [arc])
-
-    yield from rec(new_game(n), [])
+    for arcs, _ in _walk_plays(n, first_arc):
+        yield PlaySequence(n, tuple(map(frozenset, arcs)))
 
 
 def count_plays(n: int) -> int:
@@ -157,33 +139,22 @@ class CountReport:
 
 def _play_stats(n, first_arc, flags):
     """Aggregates over the plays with a given first arc (or all plays)."""
-    stats = {
-        "count": 0,
-        "signatures": set(),
-        "parkings": set(),
-        "parking_roundtrip_ok": True,
-        "products_ok": True,
-        "growth_ok": True,
-        "transposition_seqs": set(),
-        "transposition_roundtrip_ok": True,
-    }
+    stats = {"count": 0, "signatures": set(), "parkings": set(), "transposition_seqs": set()}
+    for key in ("parking_roundtrip_ok", "products_ok", "growth_ok", "transposition_roundtrip_ok"):
+        stats[key] = True
     successor = successor_cycle(n)
-    for play in enumerate_games(n, first_arc=first_arc):
+    for arcs, ccw in _walk_plays(n, first_arc):
         stats["count"] += 1
         if flags.get("signatures"):
-            stats["signatures"].add(frozenset(tuple(sorted(arc)) for arc in play.moves))
-        need_replay = (
-            flags.get("parking") or flags.get("product") or flags.get("image") or flags.get("growth")
-        )
-        if not need_replay:
+            stats["signatures"].add(frozenset(arcs))
+        if not any(flags.get(key) for key in ("parking", "product", "image", "growth")):
             continue
-        state = replay(play)
-        ccw = tuple(tuple(sorted(rec.ccw_pair)) for rec in state.history)
+        moves = tuple(map(frozenset, arcs))
         if flags.get("parking"):
-            values = tuple(min(pair) for pair in ccw)
+            values = tuple(a for a, _ in ccw)
             stats["parkings"].add(values)
             back = parking_to_game(ParkingFunction(n, values))
-            if back.moves != play.moves:
+            if back.moves != moves:
                 stats["parking_roundtrip_ok"] = False
         if flags.get("product") or flags.get("image") or flags.get("growth"):
             if compose_in_order(n, ccw) != successor:
@@ -196,33 +167,35 @@ def _play_stats(n, first_arc, flags):
             if flags.get("image"):
                 stats["transposition_seqs"].add(ccw)
                 back = transpositions_to_game(TranspositionSeq(n, ccw))
-                if back.moves != play.moves:
+                if back.moves != moves:
                     stats["transposition_roundtrip_ok"] = False
     return stats
 
 
-def _play_stats_args(args):
-    return _play_stats(*args)
-
-
 def _merge_stats(parts):
-    merged = None
-    for part in parts:
-        if merged is None:
-            merged = part
-            continue
-        merged["count"] += part["count"]
-        merged["signatures"] |= part["signatures"]
-        merged["parkings"] |= part["parkings"]
-        merged["transposition_seqs"] |= part["transposition_seqs"]
-        for key in (
-            "parking_roundtrip_ok",
-            "products_ok",
-            "growth_ok",
-            "transposition_roundtrip_ok",
-        ):
-            merged[key] = merged[key] and part[key]
+    """Counts add, sets unite and flags must all hold."""
+    merged = parts[0]
+    for part in parts[1:]:
+        for key, value in part.items():
+            if isinstance(value, bool):
+                merged[key] = merged[key] and value
+            elif isinstance(value, set):
+                merged[key] |= value
+            else:
+                merged[key] += value
     return merged
+
+
+def _primary_coherent(tree) -> bool:
+    """The primary edges exist, are the edges that cannot pivot clockwise and
+    the poset's minima, and every neighbour walk settles on one of them."""
+    prim = primary_edges(tree)
+    return (
+        bool(prim)
+        and not any((e in prim) == is_pivotable_clockwise(tree, e) for e in tree.edges)
+        and build_poset(tree).minimal_elements() == prim
+        and all(find_primary_edge(tree, start=v) in prim for v in range(1, tree.n + 1))
+    )
 
 
 CHECK_NAMES = (
@@ -257,9 +230,7 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
     selected = set(checks) if checks is not None else None
 
     def want(name, limit):
-        if selected is not None:
-            return name in selected
-        return n <= limit
+        return name in selected if selected is not None else n <= limit
 
     report = CountReport(
         n=n,
@@ -281,15 +252,13 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         "growth": want("cycle_growth", CYCLE_GROWTH_LIMIT),
     }
 
-    enumerate_plays = want("play_count_power", PLAY_LIMIT) or any(flags.values())
     stats = None
-    if enumerate_plays:
+    if want("play_count_power", PLAY_LIMIT) or any(flags.values()):
         if jobs > 1 and n >= 2:
             first_arcs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(
-                    pool.map(_play_stats_args, [(n, arc, flags) for arc in first_arcs])
-                )
+                args = (itertools.repeat(n), first_arcs, itertools.repeat(flags))
+                parts = list(pool.map(_play_stats, *args))
             stats = _merge_stats(parts)
         else:
             stats = _play_stats(n, None, flags)
@@ -306,24 +275,17 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         if want("endstate_count", SIGNATURE_LIMIT):
             checks_out.append(("endstate_count", len(signatures) == count_endstates(n)))
         if want("signatures_are_noncrossing_trees", SIGNATURE_LIMIT):
-            checks_out.append(
-                (
-                    "signatures_are_noncrossing_trees",
-                    all(is_noncrossing_tree(n, sig) for sig in signatures),
-                )
-            )
+            ok = all(is_noncrossing_tree(n, sig) for sig in signatures)
+            checks_out.append(("signatures_are_noncrossing_trees", ok))
         if want("tree_bijection_image", SIGNATURE_LIMIT):
             ncts = {tree.edges for tree in enumerate_noncrossing_trees(n)}
             checks_out.append(("tree_bijection_image", signatures == ncts))
 
     if want("realization_round_trip", SIGNATURE_LIMIT):
-        ok = True
-        for tree in enumerate_noncrossing_trees(n):
-            play = tree_to_canonical_game(tree)
-            state = replay(play)
-            if endstate_to_tree(state) != tree:
-                ok = False
-                break
+        ok = all(
+            endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree
+            for tree in enumerate_noncrossing_trees(n)
+        )
         checks_out.append(("realization_round_trip", ok))
 
     if flags["parking"] and stats is not None:
@@ -332,19 +294,14 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         if want("parking_injective", PARKING_LIMIT):
             checks_out.append(("parking_injective", len(parkings) == stats["count"]))
         if want("parking_image", PARKING_LIMIT):
-            brute = {
-                values
-                for values in itertools.product(range(1, n), repeat=n - 1)
-                if is_parking_function(n, values)
-            }
+            candidates = itertools.product(range(1, n), repeat=n - 1)
+            brute = {values for values in candidates if is_parking_function(n, values)}
             checks_out.append(("parking_image", parkings == brute))
         if want("parking_round_trip", PARKING_LIMIT):
-            ok = stats["parking_roundtrip_ok"]
-            for values in parkings:
-                pf = ParkingFunction(n, values)
-                if game_to_parking(parking_to_game(pf)).values != values:
-                    ok = False
-                    break
+            ok = stats["parking_roundtrip_ok"] and all(
+                game_to_parking(parking_to_game(ParkingFunction(n, values))).values == values
+                for values in parkings
+            )
             checks_out.append(("parking_round_trip", ok))
 
     if flags["product"] and stats is not None:
@@ -374,23 +331,7 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         checks_out.append(("poset_linear_extensions", ok and total == count_plays(n)))
 
     if want("primary_edge_coherence", PRIMARY_LIMIT):
-        ok = True
-        for tree in enumerate_noncrossing_trees(n):
-            if tree.n < 2:
-                continue
-            prim = primary_edges(tree)
-            if not prim:
-                ok = False
-                break
-            if any((e in prim) == is_pivotable_clockwise(tree, e) for e in tree.edges):
-                ok = False
-                break
-            if build_poset(tree).minimal_elements() != prim:
-                ok = False
-                break
-            if any(find_primary_edge(tree, start=v) not in prim for v in range(1, n + 1)):
-                ok = False
-                break
+        ok = all(_primary_coherent(tree) for tree in enumerate_noncrossing_trees(n) if n >= 2)
         checks_out.append(("primary_edge_coherence", ok))
 
     if selected is None or "variant_formulas" in selected:

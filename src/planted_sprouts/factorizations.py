@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, apply_move, locate_labels, new_game, replay
+from .game import PlaySequence, _Arms, _ccw_pairs, _pairs_from_text
 
 
 def identity_permutation(n: int) -> tuple:
@@ -29,16 +29,13 @@ def successor_cycle(n: int) -> tuple:
 
 def compose_in_order(n: int, transpositions) -> tuple:
     """Product applying the first-listed transposition first."""
-
-    def image(x):
-        for a, b in transpositions:
-            if x == a:
-                x = b
-            elif x == b:
-                x = a
-        return x
-
-    return tuple(image(x) for x in range(1, n + 1))
+    image = list(range(n + 1))  # image[x] so far
+    source = list(range(n + 1))  # source[y]: the x with image[x] == y
+    for a, b in transpositions:
+        x, y = source[a], source[b]
+        image[x], image[y] = b, a
+        source[a], source[b] = y, x
+    return tuple(image[1:])
 
 
 def compose_last_to_first(n: int, transpositions) -> tuple:
@@ -85,32 +82,23 @@ class TranspositionSeq:
 
 def game_to_transpositions(play: PlaySequence) -> TranspositionSeq:
     """Counterclockwise pairs of the play's moves, in order."""
-    state = replay(play)
-    if not state.is_complete():
-        raise ValueError("play is not complete")
-    pairs = tuple(tuple(sorted(rec.ccw_pair)) for rec in state.history)
-    return TranspositionSeq(n=play.n, transpositions=pairs)
+    return TranspositionSeq(n=play.n, transpositions=_ccw_pairs(play))
 
 
 def transpositions_to_game(seq: TranspositionSeq) -> PlaySequence:
     """Reconstruct the unique play: each transposition {i', j'} is produced by
     joining the arms immediately clockwise of labels i' and j' in the one
     subgame containing both."""
-    state = new_game(seq.n)
+    arms = _Arms(seq.n)
     moves = []
     for index, (a, b) in enumerate(seq.transpositions):
-        loc = locate_labels(state)
-        si1, p1 = loc[a]
-        si2, p2 = loc[b]
-        if si1 != si2:
+        if arms.region[a] != arms.region[b]:
             raise ValueError(
                 f"transposition {a}:{b} at index {index} acts across different subgames"
             )
-        sg = state.subgames[si1]
-        m = len(sg)
-        q1, q2 = (p1 + 1) % m, (p2 + 1) % m
-        moves.append(tuple(sorted((sg[q1][0], sg[q2][0]))))
-        state = apply_move(state, si1, min(q1, q2), max(q1, q2))
+        i, j = arms.nxt[a], arms.nxt[b]
+        arms.move(i, j)
+        moves.append((i, j))
     return PlaySequence.of(seq.n, moves)
 
 
@@ -137,11 +125,10 @@ def prefix_cycle_counts(seq: TranspositionSeq):
     For a genuine factorization each step adds exactly one cycle, ending at
     the identity's n fixed points.
     """
-    rho = successor_cycle(seq.n)
-    counts = []
-    for k in range(len(seq.transpositions) + 1):
-        inner = compose_in_order(seq.n, tuple(reversed(seq.transpositions[:k])))
-        perm = tuple(rho[inner[x - 1] - 1] for x in range(1, seq.n + 1))
+    perm = list(successor_cycle(seq.n))
+    counts = [cycle_count(perm)]
+    for a, b in seq.transpositions:
+        perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]  # perm = perm ∘ (a b)
         counts.append(cycle_count(perm))
     return counts
 
@@ -154,10 +141,8 @@ def arc_label_transpositions(play: PlaySequence) -> tuple:
     compose_last_to_first).  Exposed for completeness; the canonical bijection
     uses counterclockwise pairs.
     """
-    state = replay(play)
-    if not state.is_complete():
-        raise ValueError("play is not complete")
-    return tuple(tuple(sorted(rec.arc_label)) for rec in state.history)
+    _ccw_pairs(play)  # raises unless the play is complete and legal
+    return tuple(tuple(sorted(arc)) for arc in play.moves)
 
 
 def seq_to_text(seq: TranspositionSeq) -> str:
@@ -166,11 +151,4 @@ def seq_to_text(seq: TranspositionSeq) -> str:
 
 def seq_from_text(n: int, text: str) -> TranspositionSeq:
     body = text.strip()
-    pairs = []
-    if body:
-        for token in body.split(","):
-            parts = token.strip().split(":")
-            if len(parts) != 2:
-                raise ValueError(f"bad transposition token {token!r}; expected 'a:b'")
-            pairs.append((int(parts[0]), int(parts[1])))
-    return TranspositionSeq.of(n, pairs)
+    return TranspositionSeq.of(n, _pairs_from_text(body, "transposition", "a:b") if body else [])

@@ -141,24 +141,142 @@ def locate_labels(state: GameState) -> dict:
     return loc
 
 
-def replay(play: PlaySequence) -> GameState:
-    """Replay a play from the initial state, resolving arc labels to positions.
+class _Arms:
+    """A game's arms in successor arrays, index 0 unused.
 
-    Raises IllegalMoveError with the index of the first bad move if a pair
-    repeats or its two labels sit in different subgames at its turn.
+    nxt[x] is the arm clockwise after x in its region and prv[x] the one
+    before, so each region is a cycle of nxt, starting from k -> k+1 (mod n).
+    Joining arms i and j swaps the successors of their ccw neighbours
+    a = prv[i] and b = prv[j]: the transposition (a b), which splits the
+    cycle in two.  The ccw pair is read there only, and joining i and j again
+    undoes the move.  region[x] is a region id, kept by `move` relabelling
+    the smaller side of each split: O(n log n) over a play.
     """
-    state = new_game(play.n)
-    for index, arc in enumerate(play.moves):
-        i, j = sorted(arc)
-        if any(rec.arc_label == arc for rec in state.history):
-            raise IllegalMoveError(index, f"arc {i}-{j} repeats an earlier arc")
-        loc = locate_labels(state)
-        si1, p1 = loc[i]
-        si2, p2 = loc[j]
-        if si1 != si2:
-            raise IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
-        state = apply_move(state, si1, min(p1, p2), max(p1, p2))
-    return state
+
+    __slots__ = ("nxt", "prv", "region", "regions")
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"game order must be positive, got {n}")
+        self.nxt = [1] + list(range(2, n + 1)) + [1]
+        self.prv = [n, n] + list(range(1, n))
+        self.region, self.regions = [0] * (n + 1), 1
+
+    def join(self, i: int, j: int):
+        """Join arms i and j of one region; return their ccw pair, sorted."""
+        nxt, prv = self.nxt, self.prv
+        a, b = prv[i], prv[j]
+        nxt[a], nxt[b] = j, i
+        prv[i], prv[j] = b, a
+        return (a, b) if a < b else (b, a)
+
+    def move(self, i: int, j: int):
+        """`join`, then give the smaller new region the next region id."""
+        pair, nxt = self.join(i, j), self.nxt
+        x, y = nxt[i], nxt[j]
+        while x != i and y != j:
+            x, y = nxt[x], nxt[y]
+        for x in self.cycle(i if x == i else j):
+            self.region[x] = self.regions
+        self.regions += 1
+        return pair
+
+    def cycle(self, x: int) -> list:
+        """The arms of x's region, clockwise from x."""
+        out, y = [x], self.nxt[x]
+        while y != x:
+            out.append(y)
+            y = self.nxt[y]
+        return out
+
+    def play(self, play: PlaySequence):
+        """Make a play's moves, yielding each one's labels i < j and ccw pair.
+        Raises IllegalMoveError with the index of the first bad move if a pair
+        repeats or its two labels sit in different subgames at its turn."""
+        seen = set()
+        for index, arc in enumerate(play.moves):
+            i, j = sorted(arc)
+            if arc in seen:
+                raise IllegalMoveError(index, f"arc {i}-{j} repeats an earlier arc")
+            if self.region[i] != self.region[j]:
+                raise IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
+            seen.add(arc)
+            yield (i, j) + self.move(i, j)
+
+
+def _ccw_pairs(play: PlaySequence) -> tuple:
+    """The sorted ccw pair of every move of a complete legal play."""
+    pairs = tuple(step[2:] for step in _Arms(play.n).play(play))
+    if len(pairs) != play.n - 1:
+        raise ValueError("play is not complete")
+    return pairs
+
+
+def _walk_plays(n: int, first_arc=None, arcs=None):
+    """Every complete play of order n as (arcs, ccw pairs), each a tuple of
+    sorted pairs, depth first with arcs in lexicographic order at each stage.
+    `first_arc` prunes the root to one move; `arcs` allows only those arcs.
+    A region's labels increase clockwise but for one descent, so the arcs
+    (x, y), y > x, open at x are nxt[x], nxt[nxt[x]], ... while above x.
+    """
+    arms = _Arms(n)
+    nxt, join = arms.nxt, arms.join
+    root = None if first_arc is None else tuple(first_arc)
+    path, pairs = [], []
+
+    def rec():
+        if len(path) == n - 1:
+            yield tuple(path), tuple(pairs)
+            return
+        for x in range(1, n + 1):
+            y = nxt[x]
+            while y > x:
+                arc = (x, y)
+                if (arcs is None or arc in arcs) and (path or root is None or arc == root):
+                    pairs.append(join(x, y))
+                    path.append(arc)
+                    yield from rec()
+                    path.pop()
+                    pairs.pop()
+                    join(x, y)
+                y = nxt[y]
+
+    return rec()
+
+
+def replay(play: PlaySequence) -> GameState:
+    """Replay a play from the initial state; equal to the apply_move fold,
+    and raises IllegalMoveError at the first bad move (see `_Arms.play`).
+
+    The moves run on `_Arms` and the state is built once, at the end.  Of a
+    split region, the side whose joined arm comes first from the region's
+    head keeps the region's slot in the subgame order, the other side takes
+    a new slot after it, and each side's head is its joined arm.
+    """
+    arms = _Arms(play.n)
+    region = arms.region
+    long = list(range(play.n + 1))
+    slot = [0]  # each region id's slot
+    head, after = [1], [None]  # each slot's first arm and the slot after it
+    history = []
+    for i, j, a, b in arms.play(play):
+        s = slot[region[j] if region[i] == len(slot) else region[i]]
+        h = head[s]
+        first = i if h == i or (region[h] == region[j] and h != j) else j
+        second = i + j - first
+        pair = long[first], long[second]
+        long[first], long[second] = pair, pair[::-1]
+        history.append(MoveRecord(frozenset((i, j)), frozenset((a, b)), pair))
+        slot.append(None)
+        slot[region[first]], slot[region[second]] = s, len(head)
+        head.append(second)
+        after.append(after[s])
+        head[s], after[s] = first, len(head) - 1
+    subgames, s = [], 0
+    while s is not None:
+        subgames.append(tuple((x, long[x]) for x in arms.cycle(head[s])))
+        s = after[s]
+    return GameState(n=play.n, subgames=tuple(subgames), history=tuple(history))
 
 
 def move_length(n: int, i: int, j: int) -> int:
@@ -179,7 +297,11 @@ def endstate_signature(state: GameState) -> frozenset:
     if not state.is_complete():
         raise ValueError("state is not complete; some subgame still has two or more arms")
     signature = frozenset(rec.arc_label for rec in state.history)
-    assert len(signature) == state.n - 1, "arc labels must be pairwise distinct"
+    if len(signature) != state.n - 1:
+        raise ValueError(
+            f"history has {len(signature)} distinct arc labels; "
+            f"a complete game of order {state.n} has {state.n - 1}"
+        )
     return signature
 
 
@@ -197,16 +319,19 @@ def play_from_text(text: str) -> PlaySequence:
     m = _PLAY_RE.match(text)
     if not m:
         raise ValueError(f"expected a play of the form 'n=<n>: i-j,i-j,...', got {text!r}")
-    n = int(m.group(1))
     body = m.group(2)
+    return PlaySequence.of(int(m.group(1)), _pairs_from_text(body, "move", "i-j") if body else [])
+
+
+def _pairs_from_text(body: str, noun: str, form: str) -> list:
+    """Integer pairs from comma-separated tokens shaped like `form`, 'i-j' or 'a:b'."""
     pairs = []
-    if body:
-        for token in body.split(","):
-            parts = token.strip().split("-")
-            if len(parts) != 2:
-                raise ValueError(f"bad move token {token!r}; expected 'i-j'")
-            pairs.append((int(parts[0]), int(parts[1])))
-    return PlaySequence.of(n, pairs)
+    for token in body.split(","):
+        parts = token.strip().split(form[1])
+        if len(parts) != 2:
+            raise ValueError(f"bad {noun} token {token!r}; expected {form!r}")
+        pairs.append((int(parts[0]), int(parts[1])))
+    return pairs
 
 
 def play_to_json(play: PlaySequence) -> str:
@@ -214,9 +339,25 @@ def play_to_json(play: PlaySequence) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def play_from_json(text: str) -> PlaySequence:
+def _from_json(text: str, key: str):
+    """(n, pairs) from {"n": n, key: [[i, j], ...]}; ValueError names a bad field."""
     obj = json.loads(text)
-    return PlaySequence.of(int(obj["n"]), [tuple(pair) for pair in obj["moves"]])
+    for name in ("n", key):
+        if not isinstance(obj, dict) or name not in obj:
+            raise ValueError(f"JSON field {name!r} is missing")
+    n, pairs = obj["n"], obj[key]
+    if not isinstance(n, int):
+        raise ValueError(f"JSON field 'n' must be an integer, got {n!r}")
+    if not isinstance(pairs, list):
+        raise ValueError(f"JSON field {key!r} must be a list of [i, j] pairs, got {pairs!r}")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
+            raise ValueError(f"JSON field {key!r} holds {pair!r}; expected a pair of integers")
+    return n, [tuple(pair) for pair in pairs]
+
+
+def play_from_json(text: str) -> PlaySequence:
+    return PlaySequence.of(*_from_json(text, "moves"))
 
 
 def edges_to_json(n: int, edges) -> str:
@@ -226,5 +367,5 @@ def edges_to_json(n: int, edges) -> str:
 
 
 def edges_from_json(text: str):
-    obj = json.loads(text)
-    return int(obj["n"]), [tuple(sorted(e)) for e in obj["edges"]]
+    n, pairs = _from_json(text, "edges")
+    return n, [tuple(sorted(e)) for e in pairs]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import PlaySequence, replay
+from .game import PlaySequence, _Arms, _ccw_pairs
 
 
 def is_parking_function(n: int, values) -> bool:
@@ -35,61 +35,34 @@ class ParkingFunction:
 
 def game_to_parking(play: PlaySequence) -> ParkingFunction:
     """The k-th value is the min of the k-th move's counterclockwise pair."""
-    state = replay(play)
-    if not state.is_complete():
-        raise ValueError("play is not complete")
-    values = tuple(min(rec.ccw_pair) for rec in state.history)
-    return ParkingFunction(n=play.n, values=values)
-
-
-def _realize(labels, values):
-    """Moves of the unique play of the subgame with the given label set
-    (sorted ascending) realizing the given value subsequence (raw labels).
-
-    Works in rank space: a subgame is isomorphic to a fresh game on its
-    labels' cyclic ranks.  The first move joins the arm ranked one above
-    the first value to the first arm j (scanning clockwise, wrapping to
-    rank 1) at which the running count of values falling strictly inside
-    the would-be first subgame matches its size.
-    """
-    m = len(labels)
-    if m <= 1:
-        return []
-    rank = {v: k + 1 for k, v in enumerate(labels)}
-    a1 = rank[values[0]]
-    rest = [rank[v] for v in values[1:]]
-    jj = None
-    for cand in range(a1 + 2, m + 2):
-        inside_count = sum(1 for v in rest if a1 + 1 <= v <= cand - 1)
-        if inside_count == cand - a1 - 2:
-            jj = cand
-            break
-    if jj is None:
-        raise ValueError("values do not split into per-subgame parking sequences")
-    arm_j = labels[0] if jj == m + 1 else labels[jj - 1]
-    first = (labels[a1], arm_j)
-    side_a = labels[a1 : jj - 1]
-    side_b = labels[:a1] + labels[jj - 1 :]
-    inside = set(range(a1 + 1, jj))
-    vals_a = [labels[v - 1] for v in rest if v in inside]
-    vals_b = [labels[v - 1] for v in rest if v not in inside]
-    moves_a = _realize(side_a, vals_a)
-    moves_b = _realize(side_b, vals_b)
-    out = [first]
-    ia = ib = 0
-    for v in rest:
-        if v in inside:
-            out.append(moves_a[ia])
-            ia += 1
-        else:
-            out.append(moves_b[ib])
-            ib += 1
-    return out
+    return ParkingFunction(n=play.n, values=tuple(a for a, _ in _ccw_pairs(play)))
 
 
 def parking_to_game(pf: ParkingFunction) -> PlaySequence:
-    """The unique play whose parking values are the given function."""
-    moves = _realize(tuple(range(1, pf.n + 1)), list(pf.values))
+    """The unique play whose parking values are the given function, move by move.
+
+    With left[x] the number of values still to come that equal x, value v
+    joins i = nxt[v] to j = nxt[x], where x is the first arm clockwise from
+    i at which the running sum of left - 1 reaches -1: the arms i..x are the
+    side the move cuts off, and their own values fill it like a parking
+    function.  For a parking function the walk never returns to v.
+    """
+    arms = _Arms(pf.n)
+    nxt = arms.nxt
+    left = [0] * (pf.n + 1)
+    for v in pf.values:
+        left[v] += 1
+    moves = []
+    for v in pf.values:
+        left[v] -= 1
+        i = x = nxt[v]
+        total = left[x] - 1
+        while total != -1:
+            x = nxt[x]
+            total += left[x] - 1
+        j = nxt[x]
+        arms.join(i, j)
+        moves.append((i, j))
     return PlaySequence.of(pf.n, moves)
 
 

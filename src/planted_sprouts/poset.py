@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import PlaySequence
+from .game import PlaySequence, _walk_plays
 from .trees import NoncrossingTree, _adjacency
 
 
@@ -96,30 +96,8 @@ def linear_extensions(poset: EdgePoset):
 def games_with_endstate(tree: NoncrossingTree):
     """All legal plays whose arc-label set equals the tree's edges, by a
     depth-first search restricted to those arcs."""
-    from .game import apply_move, new_game
-
-    n = tree.n
-    target = tree.edges
-    out = []
-
-    def rec(state, prefix):
-        if state.is_complete():
-            out.append(PlaySequence.of(n, prefix))
-            return
-        used = set(prefix)
-        options = []
-        for si, sg in enumerate(state.subgames):
-            m = len(sg)
-            for p in range(m):
-                for q in range(p + 1, m):
-                    arc = (min(sg[p][0], sg[q][0]), max(sg[p][0], sg[q][0]))
-                    if arc in target and arc not in used:
-                        options.append((arc, si, p, q))
-        for arc, si, p, q in sorted(options):
-            rec(apply_move(state, si, p, q), prefix + [arc])
-
-    rec(new_game(n), [])
-    return out
+    walk = _walk_plays(tree.n, arcs=tree.edges)
+    return [PlaySequence(tree.n, tuple(map(frozenset, arcs))) for arcs, _ in walk]
 
 
 def _hasse_covers(poset: EdgePoset) -> set:

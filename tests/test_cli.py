@@ -83,6 +83,15 @@ class TestConversions:
         assert code == 0
         assert out.strip() == "1,2"
 
+    def test_from_parking_large_all_ones(self, capsys):
+        # deep enough to overflow a recursive inverse
+        values = ",".join(["1"] * 2999)
+        code, play_text, _ = run(capsys, "from-parking", "--n", "3000", "--values", values)
+        assert code == 0
+        code, pf_text, _ = run(capsys, "to-parking", "--play", play_text.strip())
+        assert code == 0
+        assert pf_text.strip() == values
+
     def test_round_trip_through_text_forms(self, capsys):
         code, play_text, _ = run(capsys, "from-parking", "--n", "4", "--values", "1,3,1")
         assert code == 0
@@ -143,6 +152,22 @@ class TestErrors:
         code, _, err = run(capsys, "realize-tree", "--n", "4", "--edges", "1-3,2-4,1-2")
         assert code == 2
         assert "not a noncrossing tree" in err
+
+    @pytest.mark.parametrize(
+        "play,field",
+        [
+            ('{"n":3}', "'moves'"),
+            ('{"n":3,"moves":5}', "'moves'"),
+            ('{"n":3,"moves":[[1,"2"]]}', "'moves'"),
+            ('{"n":[3],"moves":[]}', "'n'"),
+        ],
+    )
+    def test_malformed_json_play(self, capsys, play, field):
+        code, _, err = run(capsys, "to-parking", "--play", play)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

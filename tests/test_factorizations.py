@@ -1,13 +1,16 @@
 """Play <-> cycle factorization bijection."""
 
 import pytest
+from hypothesis import given, settings
 
 from planted_sprouts import (
+    ParkingFunction,
     PlaySequence,
     TranspositionSeq,
     compose_in_order,
     enumerate_factorizations,
     game_to_transpositions,
+    parking_to_game,
     successor_cycle,
     transpositions_to_game,
 )
@@ -21,7 +24,7 @@ from planted_sprouts.factorizations import (
     seq_to_text,
 )
 
-from helpers import all_plays
+from helpers import all_plays, parking_functions
 
 
 class TestCompose:
@@ -93,6 +96,16 @@ class TestTranspositionsToGame:
             assert transpositions_to_game(game_to_transpositions(play)) == play
         for seq in enumerate_factorizations(n):
             assert game_to_transpositions(transpositions_to_game(seq)) == seq
+
+
+@settings(deadline=None)
+@given(parking_functions(max_n=2000))
+def test_round_trip_large_play(drawn):
+    n, values = drawn
+    play = parking_to_game(ParkingFunction(n, values))
+    seq = game_to_transpositions(play)
+    assert compose_in_order(n, seq.transpositions) == successor_cycle(n)
+    assert transpositions_to_game(seq) == play
 
 
 class TestEnumerateFactorizations:

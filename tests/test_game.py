@@ -3,7 +3,9 @@
 import pytest
 
 from planted_sprouts import (
+    GameState,
     IllegalMoveError,
+    MoveRecord,
     PlaySequence,
     apply_move,
     endstate_signature,
@@ -152,6 +154,15 @@ class TestEndstateSignature:
         with pytest.raises(IllegalMoveError):
             replay(PlaySequence.of(3, [(2, 3), (1, 2)]))
 
+    def test_repeated_arc_in_history_rejected(self):
+        # a hand-built complete state whose history draws arc 1-2 twice
+        arc = frozenset({1, 2})
+        record = MoveRecord(arc_label=arc, ccw_pair=frozenset({2, 3}), long_pair=(1, 2))
+        state = GameState(n=3, subgames=(((1, 1),), ((2, 2),), ((3, 3),)), history=(record,) * 2)
+        assert state.is_complete()
+        with pytest.raises(ValueError, match="distinct arc labels"):
+            endstate_signature(state)
+
     def test_n4_signature_count(self):
         sigs = {endstate_signature(replay(p)) for p in all_plays(4)}
         assert len(all_plays(4)) == 16
@@ -170,6 +181,7 @@ def _cyclically_increasing(labels):
 def test_state_invariants_exhaustive(n):
     for play in all_plays(n):
         state = new_game(n)
+        assert replay(PlaySequence(n, ())) == state
         seen_arcs = set()
         for k, arc in enumerate(play.moves):
             loc = locate_labels(state)
@@ -190,6 +202,8 @@ def test_state_invariants_exhaustive(n):
             # no repeated arc labels
             assert state.history[-1].arc_label not in seen_arcs
             seen_arcs.add(state.history[-1].arc_label)
+            # replaying the prefix, complete or not, gives the same state
+            assert replay(PlaySequence(n, play.moves[: k + 1])) == state
         assert state.is_complete()
         assert len(state.history) == n - 1
         # replaying the history arc labels reproduces the state exactly

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planted_sprouts import (
     ParkingFunction,
@@ -14,7 +14,7 @@ from planted_sprouts import (
 )
 from planted_sprouts.parking import parking_from_text, parking_to_text
 
-from helpers import all_plays
+from helpers import all_plays, parking_functions
 
 
 def brute_force_parking_functions(n):
@@ -105,6 +105,13 @@ def test_round_trip_random_parking_function(data):
     values = tuple(sorted_vals[k] for k in order)
     pf = ParkingFunction(n, values)
     assert game_to_parking(parking_to_game(pf)).values == values
+
+
+@settings(deadline=None)
+@given(parking_functions(max_n=2000))
+def test_round_trip_large_parking_function(drawn):
+    n, values = drawn
+    assert game_to_parking(parking_to_game(ParkingFunction(n, values))).values == values
 
 
 class TestText:

@@ -174,6 +174,19 @@ class TestSerialization:
         n, edges = edges_from_json(text)
         assert NoncrossingTree.from_edges(n, edges) == tree
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"edges": [[1, 2]]}', "'n'"),
+            ('{"n": 2}', "'edges'"),
+            ('{"n": 2, "edges": {"1": 2}}', "'edges'"),
+            ('{"n": 2, "edges": [[1, "2"]]}', "'edges'"),
+        ],
+    )
+    def test_malformed_json_names_the_field(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            edges_from_json(text)
+
     def test_dot_marks_primary_edges(self):
         dot = tree_to_dot(EIGHT_VERTEX_TREE)
         assert "graph" in dot
