@@ -239,6 +239,7 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         recursion_b_n=count_plays_recursive(n),
     )
     checks_out = report.checks
+    all_trees = functools.cache(lambda: enumerate_noncrossing_trees(n))  # built on first use
 
     flags = {
         "signatures": want("endstate_count", SIGNATURE_LIMIT)
@@ -278,13 +279,13 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
             ok = all(is_noncrossing_tree(n, sig) for sig in signatures)
             checks_out.append(("signatures_are_noncrossing_trees", ok))
         if want("tree_bijection_image", SIGNATURE_LIMIT):
-            ncts = {tree.edges for tree in enumerate_noncrossing_trees(n)}
+            ncts = {tree.edges for tree in all_trees()}
             checks_out.append(("tree_bijection_image", signatures == ncts))
 
     if want("realization_round_trip", SIGNATURE_LIMIT):
         ok = all(
             endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree
-            for tree in enumerate_noncrossing_trees(n)
+            for tree in all_trees()
         )
         checks_out.append(("realization_round_trip", ok))
 
@@ -321,7 +322,7 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
     if want("poset_linear_extensions", POSET_LIMIT):
         ok = True
         total = 0
-        for tree in enumerate_noncrossing_trees(n):
+        for tree in all_trees():
             extensions = set(linear_extensions(build_poset(tree)))
             orders = {tuple(tuple(sorted(arc)) for arc in p.moves) for p in games_with_endstate(tree)}
             total += len(extensions)
@@ -331,7 +332,7 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         checks_out.append(("poset_linear_extensions", ok and total == count_plays(n)))
 
     if want("primary_edge_coherence", PRIMARY_LIMIT):
-        ok = all(_primary_coherent(tree) for tree in enumerate_noncrossing_trees(n) if n >= 2)
+        ok = all(_primary_coherent(tree) for tree in all_trees() if n >= 2)
         checks_out.append(("primary_edge_coherence", ok))
 
     if selected is None or "variant_formulas" in selected:

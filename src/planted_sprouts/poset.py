@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .game import PlaySequence, _walk_plays
-from .trees import NoncrossingTree, _adjacency
+from .trees import NoncrossingTree, _ccw_neighbours
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,10 @@ class EdgePoset:
 
 
 def build_poset(tree: NoncrossingTree) -> EdgePoset:
-    n = tree.n
-    nbrs = _adjacency(n, tree.edges)
     covers = set()
-    for u, v in tree.edges:
-        for fixed, moving in ((u, v), (v, u)):
-            w = (moving - 2) % n + 1
-            while w != fixed:
-                if w in nbrs[fixed]:
-                    covers.add(((u, v), (min(fixed, w), max(fixed, w))))
-                    break
-                w = (w - 2) % n + 1
+    for v, vs in enumerate(_ccw_neighbours(tree.n, tree.edges)):
+        for w, x in zip(vs, vs[1:]):  # {v, w} swings ccw around v onto {v, x}
+            covers.add(((min(v, w), max(v, w)), (min(v, x), max(v, x))))
     successors = {e: set() for e in tree.edges}
     for e, f in covers:
         successors[e].add(f)

@@ -8,6 +8,7 @@ noncrossing trees, and the closed-form endstate count.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -30,12 +31,19 @@ def _crosses(e, f) -> bool:
     return (a < c < b < d) or (c < a < d < b)
 
 
-def _adjacency(n, edges):
-    nbrs = {v: set() for v in range(1, n + 1)}
-    for i, j in edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return nbrs
+def _ccw_neighbours(n, edges) -> list:
+    """nb[v]: v's tree neighbours counterclockwise from v, i.e. in the order
+    v-1, v-2, ..., 1, n, ..., v+1 (index 0 unused).  The only place that
+    reads counterclockwise order: nb[v][0] is v's first ccw neighbour, an
+    edge swings ccw around v onto the next entry, and clockwise onto the
+    entry before."""
+    nb = [[] for _ in range(n + 1)]
+    order = sorted(edges, reverse=True)
+    for i, j in order:
+        nb[j].append(i)  # lower neighbours first, descending
+    for i, j in order:
+        nb[i].append(j)  # then the higher ones, descending
+    return nb
 
 
 def is_noncrossing_tree(n: int, edges) -> bool:
@@ -52,11 +60,16 @@ def is_noncrossing_tree(n: int, edges) -> bool:
         return False
     if not all(1 <= i < j <= n for i, j in norm):
         return False
-    norm = sorted(norm)
-    for x in range(len(norm)):
-        for y in range(x + 1, len(norm)):
-            if _crosses(norm[x], norm[y]):
-                return False
+    # Sweep chords by left end, longest first, keeping the right ends of the
+    # chords around the sweep point, innermost last: a chord crosses one of
+    # them iff it ends past the innermost one still open.
+    ends = []
+    for a, b in sorted(norm, key=lambda e: (e[0], -e[1])):
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and ends[-1] < b:
+            return False
+        ends.append(b)
     # connected + n-1 edges => tree
     comp = {v: v for v in range(1, n + 1)}
 
@@ -96,60 +109,26 @@ def endstate_to_tree(state) -> NoncrossingTree:
     return NoncrossingTree.from_edges(state.n, (tuple(sorted(arc)) for arc in signature))
 
 
-def _primary_edges_raw(n, edges):
-    """Primary edges of a (noncrossing) tree given as normalized (i, j) pairs.
-
-    An edge {i, j}, i < j, is primary iff i has no neighbor in the clockwise
-    interval from j back around to i, and j has no neighbor strictly between
-    i and j.  Equivalently: all other neighbors of each endpoint lie on its
-    own side of the chord.
-    """
-    nbrs = _adjacency(n, edges)
-    out = set()
-    for i, j in edges:
-        inside = set(range(i + 1, j))
-        outside = set(range(j + 1, n + 1)) | set(range(1, i))
-        if not (nbrs[i] & outside) and not (nbrs[j] & inside):
-            out.add((i, j))
-    return out
+def _primary(nb) -> list:
+    """Primary edges (v, w), v < w, of a tree given by its ccw lists: the
+    pairs that are each other's first counterclockwise neighbour."""
+    return [(v, w) for v, vs in enumerate(nb) if vs and v < (w := vs[0]) and nb[w][0] == v]
 
 
 def primary_edges(tree: NoncrossingTree) -> frozenset:
-    return frozenset(_primary_edges_raw(tree.n, tree.edges))
-
-
-def _cw_pivot_target(n, nbrs, fixed, moving):
-    """Rotate `moving` clockwise around `fixed`; return the edge reached at the
-    first tree-neighbor of `fixed`, or None if the scan returns to `fixed`."""
-    w = moving % n + 1
-    while w != fixed:
-        if w in nbrs[fixed]:
-            return (min(fixed, w), max(fixed, w))
-        w = w % n + 1
-    return None
+    return frozenset(_primary(_ccw_neighbours(tree.n, tree.edges)))
 
 
 def is_pivotable_clockwise(tree: NoncrossingTree, edge) -> bool:
     """True iff either endpoint of the edge can swing clockwise onto another
-    tree edge.  Edges that cannot are exactly the primary ones."""
+    tree edge, i.e. the other endpoint is not its first ccw neighbour.  Edges
+    that cannot are exactly the primary ones."""
     e = (min(edge), max(edge))
     if e not in tree.edges:
         raise ValueError(f"edge {e} is not in the tree")
-    nbrs = _adjacency(tree.n, tree.edges)
+    nb = _ccw_neighbours(tree.n, tree.edges)
     u, v = e
-    return (
-        _cw_pivot_target(tree.n, nbrs, u, v) is not None
-        or _cw_pivot_target(tree.n, nbrs, v, u) is not None
-    )
-
-
-def _ccw_first_neighbor(n, nbrs, v):
-    w = (v - 2) % n + 1
-    while w != v:
-        if w in nbrs[v]:
-            return w
-        w = (w - 2) % n + 1
-    raise ValueError(f"vertex {v} has no neighbors")
+    return nb[u][0] != v or nb[v][0] != u
 
 
 def find_primary_edge(tree: NoncrossingTree, start: int = 1):
@@ -159,66 +138,63 @@ def find_primary_edge(tree: NoncrossingTree, start: int = 1):
         raise ValueError("a tree with fewer than 2 vertices has no edges")
     if not 1 <= start <= tree.n:
         raise ValueError(f"start vertex must be in 1..{tree.n}")
-    nbrs = _adjacency(tree.n, tree.edges)
+    nb = _ccw_neighbours(tree.n, tree.edges)
     v = start
     for _ in range(2 * (tree.n - 1)):
-        w = _ccw_first_neighbor(tree.n, nbrs, v)
-        if _ccw_first_neighbor(tree.n, nbrs, w) == v:
+        w = nb[v][0]
+        if nb[w][0] == v:
             return (min(v, w), max(v, w))
         v = w
     raise RuntimeError("neighbor walk failed to settle on a primary edge")
 
 
-def _relative_primary_edges(n, vertices, edges):
-    """Primary edges of a subtree relative to a subgame's own cyclic order.
-
-    `vertices` is the subgame's label set sorted ascending; primary-ness only
-    depends on the cyclic order, so ranks within the sorted order stand in
-    for circle positions.
-    """
-    rank = {v: k + 1 for k, v in enumerate(vertices)}
-    m = len(vertices)
-    ranked = {(min(rank[a], rank[b]), max(rank[a], rank[b])) for a, b in edges}
-    prim = _primary_edges_raw(m, ranked)
-    return {
-        (min(vertices[a - 1], vertices[b - 1]), max(vertices[a - 1], vertices[b - 1]))
-        for a, b in prim
-    }
-
-
 def tree_to_canonical_game(tree: NoncrossingTree) -> PlaySequence:
     """A deterministic legal play whose endstate tree is the given tree.
 
-    At each level the lexicographically least primary edge of the current
-    subgame's induced subtree is played first; the side containing the
-    smaller label is then realized before the other.
+    Each subgame plays the lexicographically least primary edge (i, j) of its
+    induced subtree, taken in the subgame's own cyclic order, first; the side
+    containing the smaller label is then realized before the other.
+
+    A subgame's labels keep the circle's cyclic order, and the edges already
+    played at a vertex are a prefix of its ccw list, so playing (i, j) only
+    advances the first-neighbour pointers of i and j, and only edges at i or
+    j can become primary.  Primary edges form a matching; each subgame keeps
+    their negated smaller ends ascending, least edge last.  Side a is the
+    cyclic interval [i, j) and no primary edge of the subgame starts below i,
+    so side a holds the keys in (i, j), side b those above j, and one bisect
+    splits the list.  Side a's least label is i; side b's is the subgame's if
+    that is below i, and j otherwise.  No recursion: an explicit stack.
     """
     n = tree.n
-
-    def rec(vertices, edges):
-        if len(vertices) <= 1:
-            return []
-        prim = sorted(_relative_primary_edges(n, vertices, edges))
-        i, j = prim[0]
-        span = (j - i) % n
-        side_a = tuple(v for v in vertices if (v - i) % n < span)
-        side_b = tuple(v for v in vertices if (v - i) % n >= span)
-        set_a = set(side_a)
-        edges_a, edges_b = set(), set()
-        for e in edges:
-            if e == (i, j):
-                continue
-            in_a = (e[0] in set_a, e[1] in set_a)
-            if all(in_a):
-                edges_a.add(e)
-            elif not any(in_a):
-                edges_b.add(e)
-            else:
-                raise RuntimeError(f"edge {e} straddles the split at {prim[0]}")
-        first, second = sorted(((side_a, edges_a), (side_b, edges_b)), key=lambda s: s[0][0])
-        return [(i, j)] + rec(*first) + rec(*second)
-
-    return PlaySequence.of(n, rec(tuple(range(1, n + 1)), set(tree.edges)))
+    nb = _ccw_neighbours(n, tree.edges)
+    first = [0] * (n + 1)  # nb[v][first[v]] is v's first unplayed neighbour
+    moves = []
+    stack = [(1, sorted(-v for v, _ in _primary(nb)))]  # (least label, keys)
+    while stack:
+        low, keys = stack.pop()
+        if not keys:
+            continue
+        i = -keys.pop()
+        j = nb[i][first[i]]
+        moves.append((i, j))
+        first[i] += 1
+        first[j] += 1
+        k = bisect.bisect_left(keys, -j)
+        if 2 * k < len(keys):  # copy the shorter part; the longer keeps the list
+            b = keys[:k]
+            del keys[:k]
+            a = keys
+        else:
+            a = keys[k:]
+            del keys[k:]
+            b = keys
+        for v, side in ((i, a), (j, b)):
+            if first[v] < len(nb[v]):
+                w = nb[v][first[v]]
+                if nb[w][first[w]] == v:
+                    bisect.insort(side, -min(v, w))
+        stack += ((j, b), (i, a)) if low == i else ((i, a), (low, b))
+    return PlaySequence.of(n, moves)
 
 
 def enumerate_noncrossing_trees(n: int):

@@ -8,7 +8,14 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from planted_sprouts import enumerate_games, enumerate_noncrossing_trees
+from planted_sprouts import (
+    ParkingFunction,
+    endstate_to_tree,
+    enumerate_games,
+    enumerate_noncrossing_trees,
+    parking_to_game,
+    replay,
+)
 
 
 @lru_cache(maxsize=None)
@@ -47,3 +54,8 @@ def parking_functions(draw, max_n):
     n = draw(st.integers(min_value=1, max_value=max_n))
     rng = draw(st.randoms(use_true_random=False))
     return n, pollak_shift(n, [rng.randrange(n) for _ in range(n - 1)])
+
+
+def tree_of(n, values):
+    """The endstate tree of the play a parking function encodes."""
+    return endstate_to_tree(replay(parking_to_game(ParkingFunction(n, values))))

@@ -1,10 +1,17 @@
 """Command-line interface: verbs, formats, round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from planted_sprouts import endstate_to_tree, play_from_text, replay
 from planted_sprouts.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -91,6 +98,24 @@ class TestConversions:
         code, pf_text, _ = run(capsys, "to-parking", "--play", play_text.strip())
         assert code == 0
         assert pf_text.strip() == values
+
+    def test_realize_tree_deep_star(self):
+        # every move of the star's realization nests inside the last one,
+        # deep enough to overflow a recursive realization
+        n = 3000
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        edges = ",".join(f"1-{k}" for k in range(2, n + 1))
+        result = subprocess.run(
+            [sys.executable, "-m", "planted_sprouts.cli", "realize-tree", "--n", str(n), "--edges", edges],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+        tree = endstate_to_tree(replay(play_from_text(result.stdout)))
+        assert tree.edges == {(1, k) for k in range(2, n + 1)}
 
     def test_round_trip_through_text_forms(self, capsys):
         code, play_text, _ = run(capsys, "from-parking", "--n", "4", "--values", "1,3,1")

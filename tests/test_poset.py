@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from planted_sprouts import (
     NoncrossingTree,
@@ -13,11 +14,32 @@ from planted_sprouts import (
 )
 from planted_sprouts.poset import EdgePoset, poset_to_dot, poset_to_json
 
-from helpers import all_plays, all_trees, signature_of
+from helpers import all_plays, all_trees, parking_functions, signature_of, tree_of
 
 EIGHT_VERTEX_TREE = NoncrossingTree.from_edges(
     8, [(1, 8), (2, 8), (2, 4), (3, 4), (5, 8), (5, 6), (5, 7)]
 )
+
+
+def reference_covers(tree):
+    """Covers by the rotating scan: swing each edge counterclockwise around
+    each endpoint, one circle position at a time, until it meets another
+    tree neighbour of that endpoint."""
+    n = tree.n
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for i, j in tree.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    covers = set()
+    for u, v in tree.edges:
+        for fixed, moving in ((u, v), (v, u)):
+            w = (moving - 2) % n + 1
+            while w != fixed:
+                if w in nbrs[fixed]:
+                    covers.add(((u, v), (min(fixed, w), max(fixed, w))))
+                    break
+                w = (w - 2) % n + 1
+    return covers
 
 
 class TestBuildPoset:
@@ -41,6 +63,17 @@ class TestBuildPoset:
         for tree in all_trees(n):
             poset = build_poset(tree)  # raises on a cycle
             assert poset.minimal_elements() == primary_edges(tree)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_covers_match_rotating_scan_on_all_trees(self, n):
+        for tree in all_trees(n):
+            assert build_poset(tree).covers == reference_covers(tree)
+
+    @settings(deadline=None, max_examples=40)
+    @given(parking_functions(max_n=300))
+    def test_covers_match_rotating_scan_on_random_trees(self, drawn):
+        tree = tree_of(*drawn)
+        assert build_poset(tree).covers == reference_covers(tree)
 
 
 class TestLinearExtensions:

@@ -1,9 +1,11 @@
 """Noncrossing trees, primary edges, and the endstate correspondence."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from planted_sprouts import (
     NoncrossingTree,
@@ -20,7 +22,7 @@ from planted_sprouts import (
 )
 from planted_sprouts.game import PlaySequence, edges_from_json, edges_to_json
 
-from helpers import all_plays, all_trees, signature_of
+from helpers import all_plays, all_trees, parking_functions, pollak_shift, signature_of, tree_of
 
 # A completion of the worked eight-vertex example: the named edges are
 # {5,8}, {3,4}, {2,4}, {2,8}; the extra edges attach 1, 6, 7 without
@@ -28,6 +30,46 @@ from helpers import all_plays, all_trees, signature_of
 EIGHT_VERTEX_TREE = NoncrossingTree.from_edges(
     8, [(1, 8), (2, 8), (2, 4), (3, 4), (5, 8), (5, 6), (5, 7)]
 )
+
+
+def reference_primary_edges(m, edges):
+    """Primary edges of a tree on 1..m by their definition: an edge {i, j},
+    i < j, is primary iff i has no neighbor in the clockwise interval from j
+    back around to i, and j has no neighbor strictly between i and j."""
+    nbrs = {v: set() for v in range(1, m + 1)}
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    out = set()
+    for i, j in edges:
+        inside = set(range(i + 1, j))
+        outside = set(range(j + 1, m + 1)) | set(range(1, i))
+        if not (nbrs[i] & outside) and not (nbrs[j] & inside):
+            out.add((i, j))
+    return out
+
+
+def reference_canonical_moves(tree):
+    """The canonical play read literally off its definition: play the least
+    primary edge of the rank-relabelled subtree, then realize the side
+    holding the smaller label first."""
+
+    def rec(vertices, edges):
+        if len(vertices) <= 1:
+            return []
+        rank = {v: k + 1 for k, v in enumerate(vertices)}
+        ranked = {(rank[a], rank[b]) for a, b in edges}
+        prim = reference_primary_edges(len(vertices), ranked)
+        i, j = min((vertices[a - 1], vertices[b - 1]) for a, b in prim)
+        side_a = tuple(v for v in vertices if i <= v < j)
+        side_b = tuple(v for v in vertices if not i <= v < j)
+        edges_a = {e for e in edges if e[0] in side_a and e[1] in side_a}
+        edges_b = edges - edges_a - {(i, j)}
+        assert all(e[0] in side_b and e[1] in side_b for e in edges_b)
+        first, second = sorted(((side_a, edges_a), (side_b, edges_b)), key=lambda s: s[0][0])
+        return [(i, j)] + rec(*first) + rec(*second)
+
+    return rec(tuple(range(1, tree.n + 1)), set(tree.edges))
 
 
 def brute_force_ncts(n):
@@ -144,6 +186,25 @@ class TestCanonicalRealization:
         for tree in all_trees(n):
             play = tree_to_canonical_game(tree)
             assert endstate_to_tree(replay(play)) == tree
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_reference_on_all_trees(self, n):
+        for tree in all_trees(n):
+            assert tree_to_canonical_game(tree).moves == PlaySequence.of(
+                n, reference_canonical_moves(tree)
+            ).moves
+
+    @settings(deadline=None, max_examples=40)
+    @given(parking_functions(max_n=300))
+    def test_matches_reference_on_random_trees(self, drawn):
+        tree = tree_of(*drawn)
+        expected = PlaySequence.of(tree.n, reference_canonical_moves(tree))
+        assert tree_to_canonical_game(tree) == expected
+
+    def test_round_trip_large_random_tree(self):
+        n, rng = 10**4, random.Random(3)
+        tree = tree_of(n, pollak_shift(n, [rng.randrange(n) for _ in range(n - 1)]))
+        assert endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree
 
 
 class TestEnumeration:
