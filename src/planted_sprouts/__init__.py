@@ -32,7 +32,6 @@ from .game import (
     apply_move,
     endstate_signature,
     legal_moves,
-    move_length,
     new_game,
     play_from_json,
     play_from_text,

@@ -257,7 +257,7 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
     if want("play_count_power", PLAY_LIMIT) or any(flags.values()):
         if jobs > 1 and n >= 2:
             first_arcs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(first_arcs))) as pool:
                 args = (itertools.repeat(n), first_arcs, itertools.repeat(flags))
                 parts = list(pool.map(_play_stats, *args))
             stats = _merge_stats(parts)

@@ -18,10 +18,6 @@ from dataclasses import dataclass
 from .game import PlaySequence, _Arms, _ccw_pairs, _pairs_from_text
 
 
-def identity_permutation(n: int) -> tuple:
-    return tuple(range(1, n + 1))
-
-
 def successor_cycle(n: int) -> tuple:
     """The cycle k -> k+1 (mod n) as an image tuple."""
     return tuple(k % n + 1 for k in range(1, n + 1))
@@ -36,11 +32,6 @@ def compose_in_order(n: int, transpositions) -> tuple:
         image[x], image[y] = b, a
         source[a], source[b] = y, x
     return tuple(image[1:])
-
-
-def compose_last_to_first(n: int, transpositions) -> tuple:
-    """Product applying the last-listed transposition first."""
-    return compose_in_order(n, tuple(reversed(tuple(transpositions))))
 
 
 def cycle_count(perm: tuple) -> int:
@@ -131,18 +122,6 @@ def prefix_cycle_counts(seq: TranspositionSeq):
         perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]  # perm = perm ∘ (a b)
         counts.append(cycle_count(perm))
     return counts
-
-
-def arc_label_transpositions(play: PlaySequence) -> tuple:
-    """Alternate reading: the arc labels themselves as transpositions.
-
-    Unlike the counterclockwise-pair sequence, this variant multiplies out to
-    the successor cycle when composed last-to-first (see
-    compose_last_to_first).  Exposed for completeness; the canonical bijection
-    uses counterclockwise pairs.
-    """
-    _ccw_pairs(play)  # raises unless the play is complete and legal
-    return tuple(tuple(sorted(arc)) for arc in play.moves)
 
 
 def seq_to_text(seq: TranspositionSeq) -> str:

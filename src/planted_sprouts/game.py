@@ -279,19 +279,6 @@ def replay(play: PlaySequence) -> GameState:
     return GameState(n=play.n, subgames=tuple(subgames), history=tuple(history))
 
 
-def move_length(n: int, i: int, j: int) -> int:
-    """Length of an opening move joining arms i and j on the full circle.
-
-    Returns the clockwise distance from i to j, in 1..n-1; the unordered
-    notion is min(m, n - m).  Only meaningful for the first move.
-    """
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"labels must be in 1..{n}")
-    if i == j:
-        raise ValueError("a move joins two distinct arms")
-    return (j - i) % n
-
-
 def endstate_signature(state: GameState) -> frozenset:
     """The set of n-1 arc labels of a complete game."""
     if not state.is_complete():
@@ -346,12 +333,12 @@ def _from_json(text: str, key: str):
         if not isinstance(obj, dict) or name not in obj:
             raise ValueError(f"JSON field {name!r} is missing")
     n, pairs = obj["n"], obj[key]
-    if not isinstance(n, int):
+    if type(n) is not int:  # JSON true is a bool, not 1
         raise ValueError(f"JSON field 'n' must be an integer, got {n!r}")
     if not isinstance(pairs, list):
         raise ValueError(f"JSON field {key!r} must be a list of [i, j] pairs, got {pairs!r}")
     for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
             raise ValueError(f"JSON field {key!r} holds {pair!r}; expected a pair of integers")
     return n, [tuple(pair) for pair in pairs]
 

@@ -9,6 +9,15 @@ extensions.  Primary edges are the minimal elements.
 Note the counterclockwise swing here is the inverse of the clockwise pivot
 used to characterize primary edges: e swings counterclockwise onto e' iff
 e' pivots clockwise onto e.
+
+The covers are the consecutive pairs of each vertex's ccw neighbour list,
+and they form a tree on the edges.  A vertex of degree d gives d-1 covers,
+n-2 in all, and no two coincide because two tree edges share at most one
+vertex.  The pairs at v link every edge at v and the tree is connected, so
+the covers connect all n-1 edges: n-2 links on n-1 nodes make a tree.  A
+tree has no cycle, so the covers need no acyclicity check, no pair of them
+is implied by others (they are their own Hasse diagram), and the order is
+walked along them rather than stored as a transitive closure.
 """
 
 from __future__ import annotations
@@ -23,10 +32,20 @@ from .trees import NoncrossingTree, _ccw_neighbours
 class EdgePoset:
     tree: NoncrossingTree
     covers: frozenset  # of (e, e') edge pairs, e before e'
-    order: frozenset  # strict order: transitive closure of covers
 
     def precedes(self, e, f) -> bool:
-        return (tuple(e), tuple(f)) in self.order
+        """True iff e comes strictly before f: a walk along covers from e
+        reaches f.  Each edge has at most two covers, so this is O(n)."""
+        successors = {}
+        for a, b in self.covers:
+            successors.setdefault(a, []).append(b)
+        reach, stack = set(), [tuple(e)]
+        while stack:
+            for g in successors.get(stack.pop(), ()):
+                if g not in reach:
+                    reach.add(g)
+                    stack.append(g)
+        return tuple(f) in reach
 
     def minimal_elements(self) -> frozenset:
         covered = {f for _, f in self.covers}
@@ -34,28 +53,12 @@ class EdgePoset:
 
 
 def build_poset(tree: NoncrossingTree) -> EdgePoset:
-    covers = set()
-    for v, vs in enumerate(_ccw_neighbours(tree.n, tree.edges)):
-        for w, x in zip(vs, vs[1:]):  # {v, w} swings ccw around v onto {v, x}
-            covers.add(((min(v, w), max(v, w)), (min(v, x), max(v, x))))
-    successors = {e: set() for e in tree.edges}
-    for e, f in covers:
-        successors[e].add(f)
-
-    order = set()
-    for e in tree.edges:
-        stack = list(successors[e])
-        reach = set()
-        while stack:
-            f = stack.pop()
-            if f in reach:
-                continue
-            reach.add(f)
-            stack.extend(successors[f])
-        if e in reach:
-            raise ValueError(f"cover relation is cyclic at edge {e}")
-        order.update((e, f) for f in reach)
-    return EdgePoset(tree=tree, covers=frozenset(covers), order=frozenset(order))
+    covers = frozenset(
+        ((min(v, w), max(v, w)), (min(v, x), max(v, x)))
+        for v, vs in enumerate(_ccw_neighbours(tree.n, tree.edges))
+        for w, x in zip(vs, vs[1:])  # {v, w} swings ccw around v onto {v, x}
+    )
+    return EdgePoset(tree=tree, covers=covers)
 
 
 def linear_extensions(poset: EdgePoset):
@@ -93,22 +96,11 @@ def games_with_endstate(tree: NoncrossingTree):
     return [PlaySequence(tree.n, tuple(map(frozenset, arcs))) for arcs, _ in walk]
 
 
-def _hasse_covers(poset: EdgePoset) -> set:
-    """Covers with transitively implied pairs removed, for readable output."""
-    return {
-        (e, f)
-        for e, f in poset.covers
-        if not any((e, g) in poset.order and (g, f) in poset.order for g in poset.tree.edges)
-    }
-
-
-def poset_to_dot(poset: EdgePoset, hasse: bool = True) -> str:
-    tree = poset.tree
-    arcs = _hasse_covers(poset) if hasse else set(poset.covers)
+def poset_to_dot(poset: EdgePoset) -> str:
     lines = ["digraph edge_poset {"]
-    for i, j in sorted(tree.edges):
+    for i, j in sorted(poset.tree.edges):
         lines.append(f'  "{i}-{j}";')
-    for (a, b), (c, d) in sorted(arcs):
+    for (a, b), (c, d) in sorted(poset.covers):
         lines.append(f'  "{a}-{b}" -> "{c}-{d}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

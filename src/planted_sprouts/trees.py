@@ -21,7 +21,10 @@ def _normalize_edges(edges):
         a, b = e
         if a == b:
             raise ValueError(f"edge {e!r} is a loop")
-        out.add((min(a, b), max(a, b)))
+        key = (min(a, b), max(a, b))
+        if key in out:
+            raise ValueError(f"edge {a}-{b} is repeated")
+        out.add(key)
     return frozenset(out)
 
 
@@ -51,12 +54,11 @@ def is_noncrossing_tree(n: int, edges) -> bool:
     interleaving cyclically."""
     if n < 1:
         return False
-    edges = list(edges)
     try:
         norm = _normalize_edges(edges)
     except (ValueError, TypeError):
         return False
-    if len(norm) != n - 1 or len(norm) != len(edges):
+    if len(norm) != n - 1:
         return False
     if not all(1 <= i < j <= n for i, j in norm):
         return False

@@ -1,14 +1,19 @@
 """Command-line interface: verbs, formats, round trips, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planted_sprouts import endstate_to_tree, play_from_text, replay
+from planted_sprouts import endstate_to_tree, enumeration, play_from_text, replay
 from planted_sprouts.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -156,6 +161,29 @@ class TestVerify:
         assert code == 0
         assert "PASS  play_count_power" in out
 
+    def test_jobs_capped_at_first_arcs(self, capsys, monkeypatch):
+        # one worker per first arc at most: n=2 has one, n=4 has six
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        assert run(capsys, "verify", "2", "--jobs", "64")[0] == 0
+        code, out, _ = run(capsys, "verify", "4", "--jobs", "64")
+        assert code == 0 and workers == [1, 6]
+        assert out == run(capsys, "verify", "4")[1]
+
 
 class TestErrors:
     def test_bad_parking_function(self, capsys):
@@ -185,6 +213,8 @@ class TestErrors:
             ('{"n":3,"moves":5}', "'moves'"),
             ('{"n":3,"moves":[[1,"2"]]}', "'moves'"),
             ('{"n":[3],"moves":[]}', "'n'"),
+            ('{"n":true,"moves":[]}', "'n'"),
+            ('{"n":2,"moves":[[true,2]]}', "'moves'"),
         ],
     )
     def test_malformed_json_play(self, capsys, play, field):
@@ -194,7 +224,109 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poset", "--n", "2", "--tree", "1-2,1-2"),
+            ("realize-tree", "--n", "3", "--edges", "1-2,2-1,2-3"),
+        ],
+    )
+    def test_repeated_edge(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "repeated" in err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["counts"])
         assert exc.value.code == 2
+
+
+def call(argv):
+    """cli.main on argv with empty stdin; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(argv):
+    code, _, err = call(argv)
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# Orders stay small, and junk has no "=" to spell one: an order n in a play
+# allocates O(n) before any check.
+_label = st.integers(-2, 9) | st.booleans() | st.none() | st.text("12-", max_size=2)
+_pairs = st.lists(st.lists(_label, max_size=3) | _label, max_size=8)
+_json = st.fixed_dictionaries({}, optional={"n": _label, "moves": _pairs | _label, "edges": _pairs})
+_token = st.tuples(st.integers(-2, 9), st.sampled_from("-:,; "), st.integers(-2, 9))
+_pair_text = st.lists(_token.map(lambda t: "%d%s%d" % t), max_size=8).map(",".join)
+_play_text = st.tuples(st.integers(0, 8), _pair_text).map(lambda t: "n=%d: %s" % t)
+_values = st.lists(st.integers(-2, 9), max_size=8).map(lambda v: ",".join(map(str, v)))
+_junk = st.text("0123456789-:,n {}[]\"t\n", max_size=12)
+_text = _json.map(json.dumps) | _play_text | _pair_text | _values | _junk
+_formats = st.sampled_from(["text", "json", "dot"])
+_PLAY_VERBS = ("to-tree", "to-parking", "to-transpositions")
+_N_VERBS = (
+    ("from-parking", "--values"),
+    ("from-transpositions", "--transpositions"),
+    ("realize-tree", "--edges"),
+    ("poset", "--tree"),
+)
+_ORDER_VERBS = ("counts", "enumerate-games", "enumerate-endstates", "verify")
+
+
+def _with_format(argv, fmt):
+    """argv plus a --format its subcommand accepts."""
+    if fmt == "dot" and argv[0] not in ("to-tree", "poset"):
+        fmt = "json"
+    return argv + ["--format", fmt]
+
+
+class TestFuzz:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["to-tree", '--play={"n":true,"moves":[]}'],
+            ["to-transpositions", '--play={"n":3,"moves":[[1,2],[1,2]]}'],
+            ["to-parking", "--play=n=3: 1-2,1-2"],
+            ["to-tree", "--play=n=3: 1-2"],
+            ["to-parking", "--play=n=0:"],
+            ["to-transpositions", "--play=n=3: 1-4,2-3"],
+            ["to-tree", "--play=[1, 2]"],
+            ["realize-tree", "--n", "3", "--edges", "1-1,2-3"],
+            ["poset", "--n", "0", "--tree", "1-2"],
+            ["poset", "--n", "3", "--tree", "1-2-3"],
+            ["from-parking", "--n", "3", "--values=-1,1"],
+            ["from-parking", "--n", "3", "--values", "1,x"],
+            ["from-parking", "--n", "0", "--values", "1"],
+            ["from-transpositions", "--n", "3", "--transpositions", "1:2,1:2"],
+            ["from-transpositions", "--n", "3", "--transpositions", "1:3,2:4"],
+            ["from-transpositions", "--n", "2", "--transpositions", "1-2"],
+            ["verify", "3", "--checks", "nonsense"],
+            ["counts", "0"],
+            ["enumerate-endstates", "-1"],
+        ],
+    )
+    def test_malformed_input_exits_0_or_2(self, argv):
+        assert_clean_exit(argv)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(_PLAY_VERBS), _text, _formats)
+    def test_play_verbs(self, verb, text, fmt):
+        assert_clean_exit(_with_format([verb, f"--play={text}"], fmt))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(_N_VERBS), st.integers(-1, 8), _text, _formats)
+    def test_verbs_with_order(self, verb, n, text, fmt):
+        name, option = verb
+        assert_clean_exit(_with_format([name, f"--n={n}", f"{option}={text}"], fmt))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from(_ORDER_VERBS), st.integers(-2, 4), _formats)
+    def test_verbs_of_order_alone(self, verb, n, fmt):
+        assert_clean_exit(_with_format([verb, str(n)], fmt))

@@ -10,7 +10,6 @@ from planted_sprouts import (
     apply_move,
     endstate_signature,
     legal_moves,
-    move_length,
     new_game,
     play_from_json,
     play_from_text,
@@ -123,21 +122,6 @@ class TestShortOf:
 
     def test_one_step(self):
         assert short_of((9, ((1, 2), 3))) == 9
-
-
-class TestMoveLength:
-    def test_forward(self):
-        assert move_length(5, 2, 4) == 2
-
-    def test_backward_is_complementary(self):
-        assert move_length(5, 4, 2) == 3
-
-    def test_adjacent(self):
-        assert move_length(4, 1, 2) == 1
-
-    def test_rejects_equal_labels(self):
-        with pytest.raises(ValueError):
-            move_length(4, 2, 2)
 
 
 class TestEndstateSignature:

@@ -42,6 +42,33 @@ def reference_covers(tree):
     return covers
 
 
+def closure(covers):
+    """The strict order the covers generate, by repeated composition."""
+    order = set(covers)
+    while True:
+        more = {(a, d) for a, b in order for c, d in order if b == c} - order
+        if not more:
+            return order
+        order |= more
+
+
+def assert_cover_tree(tree):
+    """n-2 covers linking all n-1 edges: a tree on the edges."""
+    covers = build_poset(tree).covers
+    assert len(covers) == max(tree.n - 2, 0)
+    linked = {e: set() for e in tree.edges}
+    for e, f in covers:
+        linked[e].add(f)
+        linked[f].add(e)
+    seen, stack = set(), list(tree.edges)[:1]
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen.add(e)
+            stack.extend(linked[e])
+    assert seen == tree.edges
+
+
 class TestBuildPoset:
     def test_single_edge_poset(self):
         poset = build_poset(NoncrossingTree.from_edges(2, [(1, 2)]))
@@ -61,7 +88,7 @@ class TestBuildPoset:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_acyclic_and_minimal_equals_primary(self, n):
         for tree in all_trees(n):
-            poset = build_poset(tree)  # raises on a cycle
+            poset = build_poset(tree)
             assert poset.minimal_elements() == primary_edges(tree)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -76,12 +103,33 @@ class TestBuildPoset:
         assert build_poset(tree).covers == reference_covers(tree)
 
 
+class TestCoverTree:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_covers_are_a_tree_on_all_trees(self, n):
+        for tree in all_trees(n):
+            assert_cover_tree(tree)
+
+    @settings(deadline=None, max_examples=40)
+    @given(parking_functions(max_n=300))
+    def test_covers_are_a_tree_on_random_trees(self, drawn):
+        assert_cover_tree(tree_of(*drawn))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_precedes_is_the_closure_of_covers(self, n):
+        for tree in all_trees(n):
+            poset = build_poset(tree)
+            order = closure(poset.covers)
+            for e in tree.edges:
+                for f in tree.edges:
+                    assert poset.precedes(e, f) == ((e, f) in order)
+
+
 class TestLinearExtensions:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_antichain_has_factorial_extensions(self, k):
         # a cover-free poset over any k edges must give all k! orders
         tree = NoncrossingTree.from_edges(k + 1, [(i, i + 1) for i in range(1, k + 1)])
-        antichain = EdgePoset(tree=tree, covers=frozenset(), order=frozenset())
+        antichain = EdgePoset(tree=tree, covers=frozenset())
         assert len(linear_extensions(antichain)) == math.factorial(k)
 
     def test_n3_trees_have_one_extension_each(self):
@@ -132,7 +180,7 @@ class TestOutput:
     def test_hasse_reduction_drops_transitive_covers(self):
         # chain of three edges: the closure pair must not appear as an arrow
         poset = build_poset(NoncrossingTree.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
-        dot = poset_to_dot(poset, hasse=True)
+        dot = poset_to_dot(poset)
         assert '"1-2" -> "3-4";' not in dot
         assert '"1-2" -> "2-3";' in dot
         assert '"2-3" -> "3-4";' in dot

@@ -104,6 +104,12 @@ class TestIsNoncrossingTree:
         with pytest.raises(ValueError):
             NoncrossingTree.from_edges(4, [(1, 3), (2, 4), (1, 2)])
 
+    @pytest.mark.parametrize("edges", [[(1, 2), (1, 2)], [(1, 2), (2, 1), (2, 3)]])
+    def test_repeated_edge_rejected(self, edges):
+        assert not is_noncrossing_tree(3, edges)
+        with pytest.raises(ValueError, match="repeated"):
+            NoncrossingTree.from_edges(3, edges)
+
 
 class TestEndstateToTree:
     def test_signature_becomes_tree(self):
