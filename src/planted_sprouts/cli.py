@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import enumeration, factorizations, game, parking, poset, trees
@@ -62,6 +63,8 @@ def _cmd_enumerate_endstates(args) -> int:
 
 def _cmd_to_tree(args) -> int:
     play = _read_play(args)
+    if len(play.moves) < play.n - 1:  # before replay builds arrays of size n
+        raise ValueError("state is not complete; some subgame still has two or more arms")
     tree = trees.endstate_to_tree(game.replay(play))
     if args.format == "dot":
         print(trees.tree_to_dot(tree), end="")
@@ -195,6 +198,8 @@ def main(argv=None) -> int:
 
 
 def main_entry():
+    if hasattr(signal, "SIGPIPE"):  # absent on Windows; a closed stdout then ends the run quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -154,7 +154,7 @@ def _play_stats(n, first_arc, flags):
             values = tuple(a for a, _ in ccw)
             stats["parkings"].add(values)
             back = parking_to_game(ParkingFunction(n, values))
-            if back.moves != moves:
+            if back.moves != moves or game_to_parking(back).values != values:
                 stats["parking_roundtrip_ok"] = False
         if flags.get("product") or flags.get("image") or flags.get("growth"):
             if compose_in_order(n, ccw) != successor:
@@ -299,11 +299,7 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
             brute = {values for values in candidates if is_parking_function(n, values)}
             checks_out.append(("parking_image", parkings == brute))
         if want("parking_round_trip", PARKING_LIMIT):
-            ok = stats["parking_roundtrip_ok"] and all(
-                game_to_parking(parking_to_game(ParkingFunction(n, values))).values == values
-                for values in parkings
-            )
-            checks_out.append(("parking_round_trip", ok))
+            checks_out.append(("parking_round_trip", stats["parking_roundtrip_ok"]))
 
     if flags["product"] and stats is not None:
         checks_out.append(("factorization_product", stats["products_ok"]))

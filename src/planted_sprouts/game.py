@@ -206,19 +206,17 @@ class _Arms:
 
 def _ccw_pairs(play: PlaySequence) -> tuple:
     """The sorted ccw pair of every move of a complete legal play."""
-    pairs = tuple(step[2:] for step in _Arms(play.n).play(play))
-    if len(pairs) != play.n - 1:
+    if len(play.moves) < play.n - 1:  # before any array of size n; a longer play fails at move n
         raise ValueError("play is not complete")
-    return pairs
+    return tuple(step[2:] for step in _Arms(play.n).play(play))
 
 
-def _walk_plays(n: int, first_arc=None, arcs=None):
+def _walk_plays(n: int, first_arc=None):
     """Every complete play of order n as (arcs, ccw pairs), each a tuple of
     sorted pairs, depth first with arcs in lexicographic order at each stage.
-    `first_arc` prunes the root to one move; `arcs` allows only those arcs.
-    A region's labels increase clockwise but for one descent, so the arcs
-    (x, y), y > x, open at x are nxt[x], nxt[nxt[x]], ... while above x.
-    """
+    `first_arc` prunes the root to one move.  A region's labels increase
+    clockwise but for one descent, so the arcs (x, y), y > x, open at x are
+    nxt[x], nxt[nxt[x]], ... while above x."""
     arms = _Arms(n)
     nxt, join = arms.nxt, arms.join
     root = None if first_arc is None else tuple(first_arc)
@@ -232,7 +230,7 @@ def _walk_plays(n: int, first_arc=None, arcs=None):
             y = nxt[x]
             while y > x:
                 arc = (x, y)
-                if (arcs is None or arc in arcs) and (path or root is None or arc == root):
+                if path or root is None or arc == root:
                     pairs.append(join(x, y))
                     path.append(arc)
                     yield from rec()

@@ -22,9 +22,10 @@ walked along them rather than stored as a transitive closure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, _walk_plays
+from .game import PlaySequence, _Arms
 from .trees import NoncrossingTree, _ccw_neighbours
 
 
@@ -86,14 +87,39 @@ def linear_extensions(poset: EdgePoset):
             used.remove(e)
 
     rec()
+    del rec  # rec's closure holds rec: break the cycle, which would keep `out` alive
     return out
 
 
 def games_with_endstate(tree: NoncrossingTree):
-    """All legal plays whose arc-label set equals the tree's edges, by a
-    depth-first search restricted to those arcs."""
-    walk = _walk_plays(tree.n, arcs=tree.edges)
-    return [PlaySequence(tree.n, tuple(map(frozenset, arcs))) for arcs, _ in walk]
+    """All legal plays whose arc set is the tree's edges, by the game rules
+    alone (no covers), depth first with unplayed arcs in lexicographic order.
+    Moves only split regions, so a prefix that parts the ends of an unplayed
+    arc is pruned, and at any other prefix every unplayed arc is legal."""
+    arms, out = _Arms(tree.n), []
+    nxt, join = arms.nxt, arms.join
+    stamp, stamps = [0] * (tree.n + 1), itertools.count(1)
+
+    def rec(played, unplayed):
+        if not unplayed:
+            out.append(PlaySequence(tree.n, tuple(map(frozenset, played))))
+        for k, (x, y) in enumerate(unplayed):
+            rest = unplayed[:k] + unplayed[k + 1 :]
+            join(x, y)
+            fresh, z = next(stamps), x  # stamp x's region: a cut arc has one end in it
+            while stamp[z] != fresh:
+                stamp[z] = fresh
+                z = nxt[z]
+            for u, v in rest:
+                if (stamp[u] == fresh) != (stamp[v] == fresh):
+                    break
+            else:
+                rec(played + ((x, y),), rest)
+            join(x, y)
+
+    rec((), sorted(tree.edges))
+    del rec  # rec's closure holds rec: break the cycle, which would keep `out` alive
+    return out
 
 
 def poset_to_dot(poset: EdgePoset) -> str:

@@ -258,8 +258,8 @@ def assert_clean_exit(argv):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
-# Orders stay small, and junk has no "=" to spell one: an order n in a play
-# allocates O(n) before any check.
+# Orders stay small, and junk has no "=" to spell one, so each example runs
+# fast; TestProcess covers a play of huge order.
 _label = st.integers(-2, 9) | st.booleans() | st.none() | st.text("12-", max_size=2)
 _pairs = st.lists(st.lists(_label, max_size=3) | _label, max_size=8)
 _json = st.fixed_dictionaries({}, optional={"n": _label, "moves": _pairs | _label, "edges": _pairs})
@@ -330,3 +330,44 @@ class TestFuzz:
     @given(st.sampled_from(_ORDER_VERBS), st.integers(-2, 4), _formats)
     def test_verbs_of_order_alone(self, verb, n, fmt):
         assert_clean_exit(_with_format([verb, str(n)], fmt))
+
+
+def _cli(*argv):
+    """argv for `python -m planted_sprouts.cli`, and an environment that finds src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "planted_sprouts.cli", *argv], env
+
+
+class TestProcess:
+    @pytest.mark.parametrize("verb", _PLAY_VERBS)
+    def test_short_play_of_huge_order(self, verb):
+        # rejected before anything of size n is built: under a 1 GB address
+        # space, one list of 10**12 labels would end in MemoryError
+        resource = pytest.importorskip("resource")
+        limit = 1 << 30
+        argv, env = _cli(verb, "--play", "n=1000000000000:")
+        result = subprocess.run(
+            argv,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "not complete" in result.stderr
+
+    def test_closed_stdout_ends_quietly(self):
+        argv, env = _cli("enumerate-games", "7")
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()  # like `| head -n 1`
+            err = proc.stderr.read()
+        finally:
+            proc.stderr.close()
+            proc.wait(timeout=60)
+        assert first.startswith(b"n=7: ")
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from planted_sprouts import (
     NoncrossingTree,
     build_poset,
+    endstate_to_tree,
     games_with_endstate,
     linear_extensions,
     primary_edges,
+    replay,
 )
 from planted_sprouts.poset import EdgePoset, poset_to_dot, poset_to_json
 
@@ -151,7 +153,7 @@ class TestGamesWithEndstate:
     def test_n4_play_counts_sum_to_16(self):
         assert sum(len(games_with_endstate(t)) for t in all_trees(4)) == 16
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_partition_of_all_plays(self, n):
         # same plays in the same order as enumerate_games filtered by signature
         by_signature = {}
@@ -170,6 +172,17 @@ class TestGamesWithEndstate:
                 for play in games_with_endstate(tree)
             }
             assert extensions == orders
+
+    @settings(deadline=None, max_examples=60)
+    @given(parking_functions(max_n=8))
+    def test_random_trees_plays_are_the_extensions(self, drawn):
+        tree = tree_of(*drawn)
+        plays = games_with_endstate(tree)
+        orders = [tuple(tuple(sorted(arc)) for arc in play.moves) for play in plays]
+        assert len(set(orders)) == len(orders)
+        assert set(orders) == set(linear_extensions(build_poset(tree)))
+        for play in plays:
+            assert endstate_to_tree(replay(play)) == tree
 
 
 class TestOutput:
