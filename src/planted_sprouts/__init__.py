@@ -38,7 +38,6 @@ from .game import (
     play_to_json,
     play_to_text,
     replay,
-    short_of,
 )
 from .parking import (
     ParkingFunction,

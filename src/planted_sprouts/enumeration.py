@@ -7,7 +7,6 @@ oracles and reports one pass/fail per check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -36,17 +35,6 @@ from .trees import (
     tree_to_canonical_game,
 )
 
-# Default desk-scale cutoffs per check; selecting a check by name overrides.
-SIGNATURE_LIMIT = 7
-PARKING_LIMIT = 7
-FACTORIZATION_IMAGE_LIMIT = 5
-FACTORIZATION_PRODUCT_LIMIT = 7
-POSET_LIMIT = 6
-CYCLE_GROWTH_LIMIT = 6
-PRIMARY_LIMIT = 7
-PLAY_LIMIT = 9
-
-
 def enumerate_games(n: int, first_arc=None):
     """Every complete legal play exactly once, depth-first, trying arcs in
     lexicographic order at each stage.  Optionally restricted to plays whose
@@ -62,21 +50,18 @@ def count_plays(n: int) -> int:
     return 1 if n == 1 else n ** (n - 2)
 
 
-@functools.cache
 def count_plays_recursive(n: int) -> int:
-    """Play count by the split recursion: half of n times the sum over first
-    split sizes i of C(n-2, i-1) * b_i * b_(n-i)."""
+    """Play count by the split recursion: half of m times the sum over first
+    split sizes i of C(m-2, i-1) * b_i * b_(m-i), built up order by order."""
     if n < 1:
         raise ValueError(f"game order must be positive, got {n}")
-    if n == 1:
-        return 1
-    total = sum(
-        math.comb(n - 2, i - 1) * count_plays_recursive(i) * count_plays_recursive(n - i)
-        for i in range(1, n)
-    )
-    if (n * total) % 2:
-        raise ArithmeticError(f"recursion sum for n={n} is not divisible by 2 after scaling")
-    return n * total // 2
+    b = [0, 1]
+    for m in range(2, n + 1):
+        total = sum(math.comb(m - 2, i - 1) * b[i] * b[m - i] for i in range(1, m))
+        if (m * total) % 2:
+            raise ArithmeticError(f"recursion sum for n={m} is not divisible by 2 after scaling")
+        b.append(m * total // 2)
+    return b[n]
 
 
 def variant_counts(n: int) -> tuple:
@@ -137,53 +122,68 @@ class CountReport:
         return "\n".join(lines)
 
 
-def _play_stats(n, first_arc, flags):
-    """Aggregates over the plays with a given first arc (or all plays)."""
-    stats = {"count": 0, "signatures": set(), "parkings": set(), "transposition_seqs": set()}
-    for key in ("parking_roundtrip_ok", "products_ok", "growth_ok", "transposition_roundtrip_ok"):
-        stats[key] = True
-    successor = successor_cycle(n)
+def _play_readers(n):
+    """The play sets, as what one play (its arcs and ccw pairs) adds to each,
+    and the per-play tests, each of which must hold on every play."""
+    successor, counts = successor_cycle(n), list(range(1, n + 1))
+
+    def parking_round_trip(arcs, ccw):
+        values = tuple(a for a, _ in ccw)
+        back = parking_to_game(ParkingFunction(n, values))
+        return back.moves == tuple(map(frozenset, arcs)) and game_to_parking(back).values == values
+
+    def transposition_round_trip(arcs, ccw):
+        return transpositions_to_game(TranspositionSeq(n, ccw)).moves == tuple(map(frozenset, arcs))
+
+    sets = {
+        "signatures": lambda arcs, ccw: frozenset(arcs),
+        "parkings": lambda arcs, ccw: tuple(a for a, _ in ccw),
+        "factorizations": lambda arcs, ccw: ccw,
+    }
+    tests = {
+        "parking_round_trip": parking_round_trip,
+        "factorization_product": lambda arcs, ccw: compose_in_order(n, ccw) == successor,
+        "cycle_growth": lambda arcs, ccw: prefix_cycle_counts(TranspositionSeq(n, ccw)) == counts,
+        "transposition_round_trip": transposition_round_trip,
+    }
+    return sets, tests
+
+
+def _play_stats(n, first_arc, reads):
+    """The play count, the play sets and the per-play test verdicts named in
+    `reads`, over the plays with a given first arc (or all plays)."""
+    gather, test = _play_readers(n)
+    sets = {name: set() for name in gather if name in reads}
+    holds = {name: True for name in test if name in reads}
+    count = 0
     for arcs, ccw in _walk_plays(n, first_arc):
-        stats["count"] += 1
-        if flags.get("signatures"):
-            stats["signatures"].add(frozenset(arcs))
-        if not any(flags.get(key) for key in ("parking", "product", "image", "growth")):
-            continue
-        moves = tuple(map(frozenset, arcs))
-        if flags.get("parking"):
-            values = tuple(a for a, _ in ccw)
-            stats["parkings"].add(values)
-            back = parking_to_game(ParkingFunction(n, values))
-            if back.moves != moves or game_to_parking(back).values != values:
-                stats["parking_roundtrip_ok"] = False
-        if flags.get("product") or flags.get("image") or flags.get("growth"):
-            if compose_in_order(n, ccw) != successor:
-                stats["products_ok"] = False
-                continue
-            if flags.get("growth"):
-                counts = prefix_cycle_counts(TranspositionSeq(n, ccw))
-                if counts != list(range(1, n + 1)):
-                    stats["growth_ok"] = False
-            if flags.get("image"):
-                stats["transposition_seqs"].add(ccw)
-                back = transpositions_to_game(TranspositionSeq(n, ccw))
-                if back.moves != moves:
-                    stats["transposition_roundtrip_ok"] = False
-    return stats
+        count += 1
+        for name, found in sets.items():
+            found.add(gather[name](arcs, ccw))
+        for name in holds:
+            try:  # a map that rejects a play of the walk fails its test
+                holds[name] = holds[name] and test[name](arcs, ccw)
+            except ValueError:
+                holds[name] = False
+    return count, sets, holds
 
 
-def _merge_stats(parts):
-    """Counts add, sets unite and flags must all hold."""
-    merged = parts[0]
-    for part in parts[1:]:
-        for key, value in part.items():
-            if isinstance(value, bool):
-                merged[key] = merged[key] and value
-            elif isinstance(value, set):
-                merged[key] |= value
-            else:
-                merged[key] += value
-    return merged
+def _all_play_stats(n, reads, jobs):
+    """_play_stats over every play, split by first arc across `jobs` processes:
+    counts add, sets unite in place and verdicts must all hold."""
+    if jobs < 2 or n < 2:
+        return _play_stats(n, None, reads)
+    first_arcs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(first_arcs))) as pool:
+        parts = pool.map(_play_stats, itertools.repeat(n), first_arcs, itertools.repeat(reads))
+        count, sets, holds = next(parts)
+        for part_count, part_sets, part_holds in parts:
+            count += part_count
+            for name, found in part_sets.items():
+                sets[name] |= found
+            for name, ok in part_holds.items():
+                holds[name] = holds[name] and ok
+    return count, sets, holds
 
 
 def _primary_coherent(tree) -> bool:
@@ -198,143 +198,124 @@ def _primary_coherent(tree) -> bool:
     )
 
 
-CHECK_NAMES = (
-    "play_count_power",
-    "play_count_recursion",
-    "endstate_count",
-    "signatures_are_noncrossing_trees",
-    "tree_bijection_image",
-    "realization_round_trip",
-    "parking_injective",
-    "parking_image",
-    "parking_round_trip",
-    "factorization_product",
-    "factorization_image",
-    "cycle_growth",
-    "poset_linear_extensions",
-    "primary_edge_coherence",
-    "variant_formulas",
-)
+def _parking_image(r, got) -> bool:
+    """The plays' values are every parking function, by brute force."""
+    candidates = itertools.product(range(1, r.n), repeat=r.n - 1)
+    return got["parkings"] == {values for values in candidates if is_parking_function(r.n, values)}
+
+
+def _factorization_image(r, got) -> bool:
+    """The plays' ccw pairs are every factorization, once each, and each
+    maps back to its play."""
+    seqs = got["factorizations"]
+    brute = {seq.transpositions for seq in enumerate_factorizations(r.n)}
+    return seqs == brute and len(seqs) == got["plays"] and got["transposition_round_trip"]
+
+
+def _extensions_are_plays(r, got) -> bool:
+    """Each tree's linear extensions are the plays reaching it, n^(n-2) in all."""
+    total = 0
+    for tree in got["trees"]:
+        extensions = set(linear_extensions(build_poset(tree)))
+        orders = {tuple(tuple(sorted(arc)) for arc in p.moves) for p in games_with_endstate(tree)}
+        if extensions != orders:
+            return False
+        total += len(extensions)
+    return total == r.formula_b_n
+
+
+# Every check, in report order: its default cutoff (the largest n it runs at
+# unless named), what it reads ("plays" for the play count, play sets and
+# per-play tests from _play_readers, "trees" for every noncrossing tree) and
+# its final predicate over the report and what was read.
+_CHECKS = {
+    "play_count_power": (9, ("plays",), lambda r, got: got["plays"] == r.formula_b_n),
+    "play_count_recursion": (math.inf, (), lambda r, got: r.recursion_b_n == r.formula_b_n),
+    "endstate_count": (7, ("signatures",), lambda r, got: len(got["signatures"]) == r.formula_a_n),
+    "signatures_are_noncrossing_trees": (
+        7,
+        ("signatures",),
+        lambda r, got: all(is_noncrossing_tree(r.n, sig) for sig in got["signatures"]),
+    ),
+    "tree_bijection_image": (
+        7,
+        ("signatures", "trees"),
+        lambda r, got: got["signatures"] == {tree.edges for tree in got["trees"]},
+    ),
+    "realization_round_trip": (
+        7,
+        ("trees",),
+        lambda r, got: all(
+            endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree for tree in got["trees"]
+        ),
+    ),
+    "parking_injective": (
+        7,
+        ("plays", "parkings"),
+        lambda r, got: len(got["parkings"]) == got["plays"],
+    ),
+    "parking_image": (7, ("parkings",), _parking_image),
+    "parking_round_trip": (7, ("parking_round_trip",), lambda r, got: got["parking_round_trip"]),
+    "factorization_product": (
+        7,
+        ("factorization_product",),
+        lambda r, got: got["factorization_product"],
+    ),
+    "factorization_image": (
+        5,
+        ("plays", "factorizations", "transposition_round_trip"),
+        _factorization_image,
+    ),
+    "cycle_growth": (6, ("cycle_growth",), lambda r, got: got["cycle_growth"]),
+    "poset_linear_extensions": (6, ("trees",), _extensions_are_plays),
+    "primary_edge_coherence": (
+        7,
+        ("trees",),
+        lambda r, got: r.n < 2 or all(map(_primary_coherent, got["trees"])),
+    ),
+    "variant_formulas": (
+        math.inf,
+        (),
+        lambda r, got: variant_counts(r.n)
+        == (r.formula_a_n, r.formula_b_n, r.n * r.formula_a_n, r.n * r.formula_b_n),
+    ),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
     """Run the whole cross-check suite at order n and return a CountReport.
 
     By default each check runs only up to its desk-scale cutoff; naming a
-    check explicitly in `checks` forces it regardless of the cutoff.
+    check explicitly in `checks` forces it regardless of the cutoff.  One
+    walk over the plays gathers just what the checks that run read.
     """
     if checks is not None:
         unknown = set(checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}; known: {list(CHECK_NAMES)}")
-    selected = set(checks) if checks is not None else None
-
-    def want(name, limit):
-        return name in selected if selected is not None else n <= limit
-
     report = CountReport(
         n=n,
         formula_a_n=count_endstates(n),
         formula_b_n=count_plays(n),
         recursion_b_n=count_plays_recursive(n),
     )
-    checks_out = report.checks
-    all_trees = functools.cache(lambda: enumerate_noncrossing_trees(n))  # built on first use
-
-    flags = {
-        "signatures": want("endstate_count", SIGNATURE_LIMIT)
-        or want("signatures_are_noncrossing_trees", SIGNATURE_LIMIT)
-        or want("tree_bijection_image", SIGNATURE_LIMIT),
-        "parking": want("parking_injective", PARKING_LIMIT)
-        or want("parking_image", PARKING_LIMIT)
-        or want("parking_round_trip", PARKING_LIMIT),
-        "product": want("factorization_product", FACTORIZATION_PRODUCT_LIMIT),
-        "image": want("factorization_image", FACTORIZATION_IMAGE_LIMIT),
-        "growth": want("cycle_growth", CYCLE_GROWTH_LIMIT),
-    }
-
-    stats = None
-    if want("play_count_power", PLAY_LIMIT) or any(flags.values()):
-        if jobs > 1 and n >= 2:
-            first_arcs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            with ProcessPoolExecutor(max_workers=min(jobs, len(first_arcs))) as pool:
-                args = (itertools.repeat(n), first_arcs, itertools.repeat(flags))
-                parts = list(pool.map(_play_stats, *args))
-            stats = _merge_stats(parts)
-        else:
-            stats = _play_stats(n, None, flags)
-        report.plays_enumerated = stats["count"]
-
-    if want("play_count_power", PLAY_LIMIT) and stats is not None:
-        checks_out.append(("play_count_power", stats["count"] == count_plays(n)))
-    if selected is None or "play_count_recursion" in selected:
-        checks_out.append(("play_count_recursion", count_plays_recursive(n) == count_plays(n)))
-
-    if flags["signatures"] and stats is not None:
-        signatures = stats["signatures"]
-        report.endstates_distinct = len(signatures)
-        if want("endstate_count", SIGNATURE_LIMIT):
-            checks_out.append(("endstate_count", len(signatures) == count_endstates(n)))
-        if want("signatures_are_noncrossing_trees", SIGNATURE_LIMIT):
-            ok = all(is_noncrossing_tree(n, sig) for sig in signatures)
-            checks_out.append(("signatures_are_noncrossing_trees", ok))
-        if want("tree_bijection_image", SIGNATURE_LIMIT):
-            ncts = {tree.edges for tree in all_trees()}
-            checks_out.append(("tree_bijection_image", signatures == ncts))
-
-    if want("realization_round_trip", SIGNATURE_LIMIT):
-        ok = all(
-            endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree
-            for tree in all_trees()
-        )
-        checks_out.append(("realization_round_trip", ok))
-
-    if flags["parking"] and stats is not None:
-        parkings = stats["parkings"]
-        report.pf_image_size = len(parkings)
-        if want("parking_injective", PARKING_LIMIT):
-            checks_out.append(("parking_injective", len(parkings) == stats["count"]))
-        if want("parking_image", PARKING_LIMIT):
-            candidates = itertools.product(range(1, n), repeat=n - 1)
-            brute = {values for values in candidates if is_parking_function(n, values)}
-            checks_out.append(("parking_image", parkings == brute))
-        if want("parking_round_trip", PARKING_LIMIT):
-            checks_out.append(("parking_round_trip", stats["parking_roundtrip_ok"]))
-
-    if flags["product"] and stats is not None:
-        checks_out.append(("factorization_product", stats["products_ok"]))
-    if flags["image"] and stats is not None:
-        brute = {seq.transpositions for seq in enumerate_factorizations(n)}
-        ok = (
-            stats["transposition_seqs"] == brute
-            and len(stats["transposition_seqs"]) == stats["count"]
-            and stats["transposition_roundtrip_ok"]
-        )
-        report.fact_image_size = len(stats["transposition_seqs"])
-        checks_out.append(("factorization_image", ok))
-    if flags["growth"] and stats is not None:
-        checks_out.append(("cycle_growth", stats["growth_ok"]))
-
-    if want("poset_linear_extensions", POSET_LIMIT):
-        ok = True
-        total = 0
-        for tree in all_trees():
-            extensions = set(linear_extensions(build_poset(tree)))
-            orders = {tuple(tuple(sorted(arc)) for arc in p.moves) for p in games_with_endstate(tree)}
-            total += len(extensions)
-            if extensions != orders:
-                ok = False
-                break
-        checks_out.append(("poset_linear_extensions", ok and total == count_plays(n)))
-
-    if want("primary_edge_coherence", PRIMARY_LIMIT):
-        ok = all(_primary_coherent(tree) for tree in all_trees() if n >= 2)
-        checks_out.append(("primary_edge_coherence", ok))
-
-    if selected is None or "variant_formulas" in selected:
-        a, b, plane_a, plane_b = variant_counts(n)
-        checks_out.append(
-            ("variant_formulas", plane_a == n * a and plane_b == n * b and a == count_endstates(n))
-        )
-
+    run = [
+        name
+        for name, (limit, _, _) in _CHECKS.items()
+        if (name in checks if checks is not None else n <= limit)
+    ]
+    reads = {read for name in run for read in _CHECKS[name][1]}
+    got = {}
+    if reads - {"trees"}:  # all but the trees come from the play walk
+        count, sets, holds = _all_play_stats(n, reads, jobs)
+        got.update(sets, **holds, plays=count)
+        report.plays_enumerated = count
+    if "trees" in reads:
+        got["trees"] = enumerate_noncrossing_trees(n)
+    report.endstates_distinct, report.pf_image_size, report.fact_image_size = (
+        len(got[name]) if name in got else None
+        for name in ("signatures", "parkings", "factorizations")
+    )
+    report.checks = [(name, _CHECKS[name][2](report, got)) for name in run]
     return report

@@ -29,13 +29,6 @@ class IllegalMoveError(ValueError):
         self.reason = reason
 
 
-def short_of(long_label):
-    """Short label of an arm: recursively take first components of the pair."""
-    while isinstance(long_label, tuple):
-        long_label = long_label[0]
-    return long_label
-
-
 @dataclass(frozen=True)
 class MoveRecord:
     """One move: its arc label, the counterclockwise-neighbor pair captured
@@ -349,8 +342,3 @@ def edges_to_json(n: int, edges) -> str:
     """Canonical JSON for an edge set: pairs sorted ascending, list sorted."""
     pairs = sorted(sorted(e) for e in edges)
     return json.dumps({"n": n, "edges": pairs}, sort_keys=True)
-
-
-def edges_from_json(text: str):
-    n, pairs = _from_json(text, "edges")
-    return n, [tuple(sorted(e)) for e in pairs]

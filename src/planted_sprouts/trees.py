@@ -207,12 +207,13 @@ def enumerate_noncrossing_trees(n: int):
     if n == 1:
         return [NoncrossingTree(1, frozenset())]
     all_edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    out = []
 
+    # `extend` refers to itself, so only the cyclic garbage collector frees
+    # what it holds; yielding keeps the list of trees out of that cycle.
     def extend(start, chosen, comp):
         need = n - 1 - len(chosen)
         if need == 0:
-            out.append(NoncrossingTree(n, frozenset(chosen)))
+            yield NoncrossingTree(n, frozenset(chosen))
             return
         for k in range(start, len(all_edges) - need + 1):
             a, b = all_edges[k]
@@ -222,10 +223,9 @@ def enumerate_noncrossing_trees(n: int):
                 continue
             ca, cb = comp[a], comp[b]
             merged = {v: (ca if c == cb else c) for v, c in comp.items()}
-            extend(k + 1, chosen + [(a, b)], merged)
+            yield from extend(k + 1, chosen + [(a, b)], merged)
 
-    extend(0, [], {v: v for v in range(1, n + 1)})
-    return out
+    return list(extend(0, [], {v: v for v in range(1, n + 1)}))
 
 
 def count_endstates(n: int) -> int:

@@ -59,3 +59,19 @@ def parking_functions(draw, max_n):
 def tree_of(n, values):
     """The endstate tree of the play a parking function encodes."""
     return endstate_to_tree(replay(parking_to_game(ParkingFunction(n, values))))
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: maps in this process, in order."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from planted_sprouts import endstate_to_tree, enumeration, play_from_text, replay
 from planted_sprouts.cli import main
 
+from helpers import SerialPool
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -161,24 +163,21 @@ class TestVerify:
         assert code == 0
         assert "PASS  play_count_power" in out
 
+    def test_large_order_runs_the_formula_checks(self, capsys):
+        # the recursion b_n is built bottom up, so no recursion-depth limit
+        code, out, _ = run(capsys, "verify", "400")
+        assert code == 0
+        assert out.endswith("PASS  variant_formulas\noverall: PASS\n")
+
     def test_jobs_capped_at_first_arcs(self, capsys, monkeypatch):
         # one worker per first arc at most: n=2 has one, n=4 has six
         workers = []
 
-        class SerialPool:
+        class CountingPool(SerialPool):
             def __init__(self, max_workers):
                 workers.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountingPool)
         assert run(capsys, "verify", "2", "--jobs", "64")[0] == 0
         code, out, _ = run(capsys, "verify", "4", "--jobs", "64")
         assert code == 0 and workers == [1, 6]

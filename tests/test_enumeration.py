@@ -5,15 +5,28 @@ import math
 import pytest
 
 from planted_sprouts import (
+    cli,
     count_endstates,
     count_plays,
     count_plays_recursive,
+    enumeration,
     enumerate_games,
     variant_counts,
     verify_all,
 )
 
-from helpers import all_plays
+from helpers import SerialPool, all_plays
+
+
+# verify_all(n).to_json() for n = 1..6 with the default cutoffs, byte for byte.
+DEFAULT_REPORTS = [
+    '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 1, "fact_image_size": 1, "formula_a_n": 1, "formula_b_n": 1, "n": 1, "passed": true, "pf_image_size": 1, "plays_enumerated": 1, "recursion_b_n": 1}',
+    '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 1, "fact_image_size": 1, "formula_a_n": 1, "formula_b_n": 1, "n": 2, "passed": true, "pf_image_size": 1, "plays_enumerated": 1, "recursion_b_n": 1}',
+    '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 3, "fact_image_size": 3, "formula_a_n": 3, "formula_b_n": 3, "n": 3, "passed": true, "pf_image_size": 3, "plays_enumerated": 3, "recursion_b_n": 3}',
+    '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 12, "fact_image_size": 16, "formula_a_n": 12, "formula_b_n": 16, "n": 4, "passed": true, "pf_image_size": 16, "plays_enumerated": 16, "recursion_b_n": 16}',
+    '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 55, "fact_image_size": 125, "formula_a_n": 55, "formula_b_n": 125, "n": 5, "passed": true, "pf_image_size": 125, "plays_enumerated": 125, "recursion_b_n": 125}',
+    '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 273, "fact_image_size": null, "formula_a_n": 273, "formula_b_n": 1296, "n": 6, "passed": true, "pf_image_size": 1296, "plays_enumerated": 1296, "recursion_b_n": 1296}',
+]
 
 
 class TestEnumerateGames:
@@ -135,3 +148,53 @@ class TestVerifyAll:
         report = verify_all(3)
         assert '"passed": true' in report.to_json()
         assert "overall: PASS" in report.to_table()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_default_report_bytes(self, n):
+        assert verify_all(n).to_json() == DEFAULT_REPORTS[n - 1]
+
+    @pytest.mark.parametrize(
+        "name,check",
+        [
+            ("parking_to_game", "parking_round_trip"),
+            ("transpositions_to_game", "factorization_image"),
+        ],
+    )
+    def test_wrong_map_fails_only_its_check(self, monkeypatch, capsys, name, check):
+        # wrong on the last play enumerated only, which with jobs is in the last part
+        right, last = getattr(enumeration, name), list(enumerate_games(5))[-1]
+
+        def wrong(obj):
+            play = right(obj)
+            return next(enumerate_games(5)) if play == last else play
+
+        def rejects(obj):
+            play = right(obj)
+            if play == last:
+                raise ValueError("not in the image")
+            return play
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        for fake, jobs in ((wrong, 1), (wrong, 2), (rejects, 1), (rejects, 2)):
+            monkeypatch.setattr(enumeration, name, fake)
+            report = verify_all(5, jobs=jobs)
+            verdicts = dict(report.checks)
+            assert verdicts.pop(check) is False
+            assert len(verdicts) == 14 and all(verdicts.values())
+            assert not report.passed
+        assert cli.main(["verify", "5"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  {check}" in out and "overall: FAIL" in out
+
+    def test_checks_read_only_what_they_need(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the parking round trip ran")
+
+        monkeypatch.setattr(enumeration, "parking_to_game", unused)
+        monkeypatch.setattr(enumeration, "game_to_parking", unused)
+        report = verify_all(6, checks=["parking_injective", "parking_image"])
+        assert report.passed and report.pf_image_size == 1296
+
+    def test_round_trip_alone_gathers_no_parking_set(self):
+        report = verify_all(5, checks=["parking_round_trip"])
+        assert report.passed and report.pf_image_size is None

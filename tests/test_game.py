@@ -16,7 +16,6 @@ from planted_sprouts import (
     play_to_json,
     play_to_text,
     replay,
-    short_of,
 )
 from planted_sprouts.game import locate_labels
 
@@ -111,17 +110,6 @@ class TestReplay:
 
     def test_empty_play_order_1(self):
         assert replay(PlaySequence.of(1, [])).is_complete()
-
-
-class TestShortOf:
-    def test_original(self):
-        assert short_of(7) == 7
-
-    def test_nested(self):
-        assert short_of(((4, 3), (2, (1, 5)))) == 4
-
-    def test_one_step(self):
-        assert short_of((9, ((1, 2), 3))) == 9
 
 
 class TestEndstateSignature:
