@@ -24,6 +24,14 @@ from .factorizations import (
     successor_cycle,
     transpositions_to_game,
 )
+from .formats import (
+    play_from_json,
+    play_from_text,
+    play_to_json,
+    play_to_text,
+    poset_to_dot,
+    tree_to_dot,
+)
 from .game import (
     GameState,
     IllegalMoveError,
@@ -33,10 +41,6 @@ from .game import (
     endstate_signature,
     legal_moves,
     new_game,
-    play_from_json,
-    play_from_text,
-    play_to_json,
-    play_to_text,
     replay,
 )
 from .parking import (
@@ -50,7 +54,6 @@ from .poset import (
     build_poset,
     games_with_endstate,
     linear_extensions,
-    poset_to_dot,
 )
 from .trees import (
     NoncrossingTree,
@@ -62,7 +65,6 @@ from .trees import (
     is_pivotable_clockwise,
     primary_edges,
     tree_to_canonical_game,
-    tree_to_dot,
 )
 
 __version__ = "0.1.0"

@@ -3,132 +3,69 @@
 Exit codes: 0 success, 1 verification check failure, 2 usage or input error.
 Plays are read from --play or stdin, in either the text form
 ``n=<n>: i-j,i-j,...`` or the JSON form ``{"n": n, "moves": [[i,j],...]}``.
+Each subcommand is a generator of its results, and `main` writes them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 
-from . import enumeration, factorizations, game, parking, poset, trees
+from . import enumeration, factorizations, formats, game, parking, poset, trees
 
 
-def _read_play(args) -> game.PlaySequence:
-    text = args.play if getattr(args, "play", None) else sys.stdin.read()
-    text = text.strip()
-    if text.startswith("{"):
-        return game.play_from_json(text)
-    return game.play_from_text(text)
-
-
-def _parse_edges(text: str):
-    return game._pairs_from_text(text.strip(), "edge", "i-j")
-
-
-def _edges_text(edges) -> str:
-    return ",".join(f"{i}-{j}" for i, j in sorted(tuple(sorted(e)) for e in edges))
-
-
-def _cmd_counts(args) -> int:
+def _cmd_counts(args):
     a, b, plane_a, plane_b = enumeration.variant_counts(args.n)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"n": args.n, "a": a, "b": b, "plane_a": plane_a, "plane_b": plane_b},
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"a={a} b={b} plane_a={plane_a} plane_b={plane_b}")
-    return 0
+    yield {"n": args.n, "a": a, "b": b, "plane_a": plane_a, "plane_b": plane_b}
 
 
-def _cmd_enumerate_games(args) -> int:
-    for play in enumeration.enumerate_games(args.n):
-        print(game.play_to_json(play) if args.format == "json" else game.play_to_text(play))
-    return 0
+def _cmd_enumerate_games(args):
+    yield from enumeration.enumerate_games(args.n)
 
 
-def _cmd_enumerate_endstates(args) -> int:
+def _cmd_enumerate_endstates(args):
     signatures = {frozenset(arcs) for arcs, _ in game._walk_plays(args.n)}
     for sig in sorted(signatures, key=lambda s: sorted(s)):
-        if args.format == "json":
-            print(game.edges_to_json(args.n, sig))
-        else:
-            print(f"n={args.n}: {_edges_text(sig)}")
-    return 0
+        yield trees.NoncrossingTree(args.n, sig)
 
 
-def _cmd_to_tree(args) -> int:
-    play = _read_play(args)
+def _cmd_to_tree(args):
+    play = formats.read_play(args.play or sys.stdin.read())
     if len(play.moves) < play.n - 1:  # before replay builds arrays of size n
         raise ValueError("state is not complete; some subgame still has two or more arms")
-    tree = trees.endstate_to_tree(game.replay(play))
-    if args.format == "dot":
-        print(trees.tree_to_dot(tree), end="")
-    elif args.format == "json":
-        print(game.edges_to_json(tree.n, tree.edges))
-    else:
-        print(f"n={tree.n}: {_edges_text(tree.edges)}")
-    return 0
+    yield trees.endstate_to_tree(game.replay(play))
 
 
-def _cmd_to_parking(args) -> int:
-    pf = parking.game_to_parking(_read_play(args))
-    print(json.dumps(list(pf.values)) if args.format == "json" else parking.parking_to_text(pf))
-    return 0
+def _cmd_to_parking(args):
+    yield parking.game_to_parking(formats.read_play(args.play or sys.stdin.read()))
 
 
-def _cmd_to_transpositions(args) -> int:
-    seq = factorizations.game_to_transpositions(_read_play(args))
-    if args.format == "json":
-        print(json.dumps([list(t) for t in seq.transpositions]))
-    else:
-        print(factorizations.seq_to_text(seq))
-    return 0
+def _cmd_to_transpositions(args):
+    yield factorizations.game_to_transpositions(formats.read_play(args.play or sys.stdin.read()))
 
 
-def _emit_play(play: game.PlaySequence, fmt: str):
-    print(game.play_to_json(play) if fmt == "json" else game.play_to_text(play))
+def _cmd_from_parking(args):
+    pf = formats.parking_from_text(args.n, args.values or sys.stdin.read())
+    yield parking.parking_to_game(pf)
 
 
-def _cmd_from_parking(args) -> int:
-    text = args.values if args.values else sys.stdin.read()
-    pf = parking.parking_from_text(args.n, text)
-    _emit_play(parking.parking_to_game(pf), args.format)
-    return 0
+def _cmd_from_transpositions(args):
+    seq = formats.seq_from_text(args.n, args.transpositions or sys.stdin.read())
+    yield factorizations.transpositions_to_game(seq)
 
 
-def _cmd_from_transpositions(args) -> int:
-    text = args.transpositions if args.transpositions else sys.stdin.read()
-    seq = factorizations.seq_from_text(args.n, text)
-    _emit_play(factorizations.transpositions_to_game(seq), args.format)
-    return 0
+def _cmd_realize_tree(args):
+    yield trees.tree_to_canonical_game(formats.tree_from_text(args.n, args.edges))
 
 
-def _cmd_realize_tree(args) -> int:
-    tree = trees.NoncrossingTree.from_edges(args.n, _parse_edges(args.edges))
-    _emit_play(trees.tree_to_canonical_game(tree), args.format)
-    return 0
+def _cmd_poset(args):
+    yield poset.build_poset(formats.tree_from_text(args.n, args.tree))
 
 
-def _cmd_poset(args) -> int:
-    tree = trees.NoncrossingTree.from_edges(args.n, _parse_edges(args.tree))
-    edge_poset = poset.build_poset(tree)
-    if args.dot or args.format == "dot":
-        print(poset.poset_to_dot(edge_poset), end="")
-    else:
-        print(poset.poset_to_json(edge_poset))
-    return 0
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     checks = args.checks.split(",") if args.checks else None
-    report = enumeration.verify_all(args.n, checks=checks, jobs=args.jobs)
-    print(report.to_json() if args.format == "json" else report.to_table())
-    return 0 if report.passed else 1
+    yield enumeration.verify_all(args.n, checks=checks, jobs=args.jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,11 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # counts are exact; b_1400 has 4406 digits
+        sys.set_int_max_str_digits(0)
+    fmt = "dot" if getattr(args, "dot", False) else args.format
+    code = 0
     try:
-        return args.func(args)
+        for result in args.func(args):
+            print(formats.write(result, fmt), end="")
+            if isinstance(result, enumeration.CountReport) and not result.passed:
+                code = 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def main_entry():

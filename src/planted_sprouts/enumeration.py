@@ -74,6 +74,19 @@ def variant_counts(n: int) -> tuple:
     return (a, b, n * a, n * b)
 
 
+# The report's figures in table order, each as (JSON key, table label).
+_REPORT_FIELDS = (
+    ("n", "n"),
+    ("plays_enumerated", "plays enumerated"),
+    ("endstates_distinct", "endstates"),
+    ("formula_a_n", "formula a_n"),
+    ("formula_b_n", "formula b_n"),
+    ("recursion_b_n", "recursion b_n"),
+    ("pf_image_size", "parking image"),
+    ("fact_image_size", "factorizations"),
+)
+
+
 @dataclass
 class CountReport:
     n: int
@@ -91,31 +104,12 @@ class CountReport:
         return all(ok for _, ok in self.checks)
 
     def to_json(self) -> str:
-        obj = {
-            "n": self.n,
-            "plays_enumerated": self.plays_enumerated,
-            "endstates_distinct": self.endstates_distinct,
-            "formula_a_n": self.formula_a_n,
-            "formula_b_n": self.formula_b_n,
-            "recursion_b_n": self.recursion_b_n,
-            "pf_image_size": self.pf_image_size,
-            "fact_image_size": self.fact_image_size,
-            "checks": {name: ok for name, ok in self.checks},
-            "passed": self.passed,
-        }
+        obj = {key: getattr(self, key) for key, _ in _REPORT_FIELDS}
+        obj.update(checks={name: ok for name, ok in self.checks}, passed=self.passed)
         return json.dumps(obj, sort_keys=True)
 
     def to_table(self) -> str:
-        lines = [
-            f"n                 {self.n}",
-            f"plays enumerated  {self.plays_enumerated}",
-            f"endstates         {self.endstates_distinct}",
-            f"formula a_n       {self.formula_a_n}",
-            f"formula b_n       {self.formula_b_n}",
-            f"recursion b_n     {self.recursion_b_n}",
-            f"parking image     {self.pf_image_size}",
-            f"factorizations    {self.fact_image_size}",
-        ]
+        lines = [f"{label:<18}{getattr(self, key)}" for key, label in _REPORT_FIELDS]
         for name, ok in self.checks:
             lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")

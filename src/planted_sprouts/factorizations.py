@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, _Arms, _ccw_pairs, _pairs_from_text
+from .game import PlaySequence, _Arms, _ccw_pairs
 
 
 def successor_cycle(n: int) -> tuple:
@@ -122,12 +122,3 @@ def prefix_cycle_counts(seq: TranspositionSeq):
         perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]  # perm = perm ∘ (a b)
         counts.append(cycle_count(perm))
     return counts
-
-
-def seq_to_text(seq: TranspositionSeq) -> str:
-    return ",".join(f"{a}:{b}" for a, b in seq.transpositions)
-
-
-def seq_from_text(n: int, text: str) -> TranspositionSeq:
-    body = text.strip()
-    return TranspositionSeq.of(n, _pairs_from_text(body, "transposition", "a:b") if body else [])

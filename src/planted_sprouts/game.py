@@ -15,8 +15,6 @@ unordered label pairs.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 
 
@@ -281,64 +279,3 @@ def endstate_signature(state: GameState) -> frozenset:
             f"a complete game of order {state.n} has {state.n - 1}"
         )
     return signature
-
-
-# --- text and JSON forms ---------------------------------------------------
-
-_PLAY_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*:\s*(.*?)\s*$")
-
-
-def play_to_text(play: PlaySequence) -> str:
-    body = ",".join("-".join(map(str, sorted(arc))) for arc in play.moves)
-    return f"n={play.n}: {body}" if body else f"n={play.n}:"
-
-
-def play_from_text(text: str) -> PlaySequence:
-    m = _PLAY_RE.match(text)
-    if not m:
-        raise ValueError(f"expected a play of the form 'n=<n>: i-j,i-j,...', got {text!r}")
-    body = m.group(2)
-    return PlaySequence.of(int(m.group(1)), _pairs_from_text(body, "move", "i-j") if body else [])
-
-
-def _pairs_from_text(body: str, noun: str, form: str) -> list:
-    """Integer pairs from comma-separated tokens shaped like `form`, 'i-j' or 'a:b'."""
-    pairs = []
-    for token in body.split(","):
-        parts = token.strip().split(form[1])
-        if len(parts) != 2:
-            raise ValueError(f"bad {noun} token {token!r}; expected {form!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return pairs
-
-
-def play_to_json(play: PlaySequence) -> str:
-    obj = {"n": play.n, "moves": [sorted(arc) for arc in play.moves]}
-    return json.dumps(obj, sort_keys=True)
-
-
-def _from_json(text: str, key: str):
-    """(n, pairs) from {"n": n, key: [[i, j], ...]}; ValueError names a bad field."""
-    obj = json.loads(text)
-    for name in ("n", key):
-        if not isinstance(obj, dict) or name not in obj:
-            raise ValueError(f"JSON field {name!r} is missing")
-    n, pairs = obj["n"], obj[key]
-    if type(n) is not int:  # JSON true is a bool, not 1
-        raise ValueError(f"JSON field 'n' must be an integer, got {n!r}")
-    if not isinstance(pairs, list):
-        raise ValueError(f"JSON field {key!r} must be a list of [i, j] pairs, got {pairs!r}")
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
-            raise ValueError(f"JSON field {key!r} holds {pair!r}; expected a pair of integers")
-    return n, [tuple(pair) for pair in pairs]
-
-
-def play_from_json(text: str) -> PlaySequence:
-    return PlaySequence.of(*_from_json(text, "moves"))
-
-
-def edges_to_json(n: int, edges) -> str:
-    """Canonical JSON for an edge set: pairs sorted ascending, list sorted."""
-    pairs = sorted(sorted(e) for e in edges)
-    return json.dumps({"n": n, "edges": pairs}, sort_keys=True)

@@ -64,13 +64,3 @@ def parking_to_game(pf: ParkingFunction) -> PlaySequence:
         arms.join(i, j)
         moves.append((i, j))
     return PlaySequence.of(pf.n, moves)
-
-
-def parking_to_text(pf: ParkingFunction) -> str:
-    return ",".join(map(str, pf.values))
-
-
-def parking_from_text(n: int, text: str) -> ParkingFunction:
-    body = text.strip()
-    values = tuple(int(tok) for tok in body.split(",")) if body else ()
-    return ParkingFunction(n=n, values=values)

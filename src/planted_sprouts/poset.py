@@ -120,24 +120,3 @@ def games_with_endstate(tree: NoncrossingTree):
     rec((), sorted(tree.edges))
     del rec  # rec's closure holds rec: break the cycle, which would keep `out` alive
     return out
-
-
-def poset_to_dot(poset: EdgePoset) -> str:
-    lines = ["digraph edge_poset {"]
-    for i, j in sorted(poset.tree.edges):
-        lines.append(f'  "{i}-{j}";')
-    for (a, b), (c, d) in sorted(poset.covers):
-        lines.append(f'  "{a}-{b}" -> "{c}-{d}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def poset_to_json(poset: EdgePoset) -> str:
-    import json
-
-    obj = {
-        "n": poset.tree.n,
-        "edges": sorted(list(e) for e in poset.tree.edges),
-        "covers": sorted([list(e), list(f)] for e, f in poset.covers),
-    }
-    return json.dumps(obj, sort_keys=True)

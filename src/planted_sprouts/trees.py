@@ -237,18 +237,3 @@ def count_endstates(n: int) -> int:
     if numerator % denominator:
         raise ArithmeticError(f"C({3*n-3},{n-1}) is not divisible by {denominator}")
     return numerator // denominator
-
-
-def tree_to_dot(tree: NoncrossingTree) -> str:
-    """DOT form with circular position hints; primary edges carry primary=true."""
-    prim = primary_edges(tree)
-    lines = ["graph noncrossing_tree {", "  layout=neato;"]
-    for v in range(1, tree.n + 1):
-        angle = 2 * math.pi * (v - 1) / tree.n
-        x, y = math.sin(angle), math.cos(angle)
-        lines.append(f'  {v} [pos="{x:.4f},{y:.4f}!"];')
-    for i, j in sorted(tree.edges):
-        attrs = " [primary=true, penwidth=2]" if (i, j) in prim else ""
-        lines.append(f"  {i} -- {j}{attrs};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

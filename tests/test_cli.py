@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,170 @@ def call(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+_CHECKS = (
+    "play_count_power play_count_recursion endstate_count signatures_are_noncrossing_trees "
+    "tree_bijection_image realization_round_trip parking_injective parking_image "
+    "parking_round_trip factorization_product factorization_image cycle_growth "
+    "poset_linear_extensions primary_edge_coherence variant_formulas"
+).split()
+_TABLE_TAIL = "".join(f"PASS  {name}\n" for name in _CHECKS) + "overall: PASS\n"
+_CHECKS_JSON = (
+    '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, '
+    '"factorization_product": true, "parking_image": true, "parking_injective": true, '
+    '"parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, '
+    '"poset_linear_extensions": true, "primary_edge_coherence": true, '
+    '"realization_round_trip": true, "signatures_are_noncrossing_trees": true, '
+    '"tree_bijection_image": true, "variant_formulas": true}, '
+)
+_P4 = "'n=4: 1-3,1-2,3-4'"
+_P4_JSON = """'{"moves": [[1, 3], [1, 2], [3, 4]], "n": 4}'"""
+_DOT4 = (
+    'graph noncrossing_tree {\n  layout=neato;\n  1 [pos="0.0000,1.0000!"];\n'
+    '  2 [pos="1.0000,0.0000!"];\n  3 [pos="0.0000,-1.0000!"];\n  4 [pos="-1.0000,-0.0000!"];\n'
+    "  1 -- 2;\n  1 -- 3 [primary=true, penwidth=2];\n  3 -- 4;\n}\n"
+)
+_POSET4 = '{"covers": [[[1, 3], [1, 2]], [[1, 3], [3, 4]]], "edges": [[1, 2], [1, 3], [3, 4]], "n": 4}\n'
+_POSET4_DOT = 'digraph edge_poset {\n  "1-2";\n  "1-3";\n  "3-4";\n  "1-3" -> "1-2";\n  "1-3" -> "3-4";\n}\n'
+_POSET1 = '{"covers": [], "edges": [], "n": 1}\n'
+
+# Exact stdout and stderr bytes, with the exit code, of every subcommand in
+# every format it accepts, at n = 1 and at one larger order.  Stdin is empty.
+GOLDEN = {
+    "counts 1": (0, "a=1 b=1 plane_a=1 plane_b=1\n", ""),
+    "counts 1 --format json": (0, '{"a": 1, "b": 1, "n": 1, "plane_a": 1, "plane_b": 1}\n', ""),
+    "counts 4": (0, "a=12 b=16 plane_a=48 plane_b=64\n", ""),
+    "counts 4 --format json": (0, '{"a": 12, "b": 16, "n": 4, "plane_a": 48, "plane_b": 64}\n', ""),
+    "verify 1": (
+        0,
+        "n                 1\nplays enumerated  1\nendstates         1\nformula a_n       1\n"
+        "formula b_n       1\nrecursion b_n     1\nparking image     1\nfactorizations    1\n"
+        + _TABLE_TAIL,
+        "",
+    ),
+    "verify 1 --format json": (
+        0,
+        _CHECKS_JSON + '"endstates_distinct": 1, "fact_image_size": 1, "formula_a_n": 1, '
+        '"formula_b_n": 1, "n": 1, "passed": true, "pf_image_size": 1, '
+        '"plays_enumerated": 1, "recursion_b_n": 1}\n',
+        "",
+    ),
+    "verify 4": (
+        0,
+        "n                 4\nplays enumerated  16\nendstates         12\nformula a_n       12\n"
+        "formula b_n       16\nrecursion b_n     16\nparking image     16\nfactorizations    16\n"
+        + _TABLE_TAIL,
+        "",
+    ),
+    "verify 4 --format json": (
+        0,
+        _CHECKS_JSON + '"endstates_distinct": 12, "fact_image_size": 16, "formula_a_n": 12, '
+        '"formula_b_n": 16, "n": 4, "passed": true, "pf_image_size": 16, '
+        '"plays_enumerated": 16, "recursion_b_n": 16}\n',
+        "",
+    ),
+    "enumerate-games 1": (0, "n=1:\n", ""),
+    "enumerate-games 1 --format json": (0, '{"moves": [], "n": 1}\n', ""),
+    "enumerate-games 3": (0, "n=3: 1-2,2-3\nn=3: 1-3,1-2\nn=3: 2-3,1-3\n", ""),
+    "enumerate-games 3 --format json": (
+        0,
+        '{"moves": [[1, 2], [2, 3]], "n": 3}\n{"moves": [[1, 3], [1, 2]], "n": 3}\n'
+        '{"moves": [[2, 3], [1, 3]], "n": 3}\n',
+        "",
+    ),
+    "enumerate-endstates 1": (0, "n=1: \n", ""),
+    "enumerate-endstates 1 --format json": (0, '{"edges": [], "n": 1}\n', ""),
+    "enumerate-endstates 3": (0, "n=3: 1-2,1-3\nn=3: 1-2,2-3\nn=3: 1-3,2-3\n", ""),
+    "enumerate-endstates 3 --format json": (
+        0,
+        '{"edges": [[1, 2], [1, 3]], "n": 3}\n{"edges": [[1, 2], [2, 3]], "n": 3}\n'
+        '{"edges": [[1, 3], [2, 3]], "n": 3}\n',
+        "",
+    ),
+    "to-tree --play n=1:": (0, "n=1: \n", ""),
+    "to-tree --play n=1: --format json": (0, '{"edges": [], "n": 1}\n', ""),
+    "to-tree --play n=1: --format dot": (
+        0,
+        'graph noncrossing_tree {\n  layout=neato;\n  1 [pos="0.0000,1.0000!"];\n}\n',
+        "",
+    ),
+    f"to-tree --play {_P4}": (0, "n=4: 1-2,1-3,3-4\n", ""),
+    f"to-tree --play {_P4_JSON} --format json": (0, '{"edges": [[1, 2], [1, 3], [3, 4]], "n": 4}\n', ""),
+    f"to-tree --play {_P4} --format dot": (0, _DOT4, ""),
+    "to-parking --play n=1:": (0, "\n", ""),
+    "to-parking --play n=1: --format json": (0, "[]\n", ""),
+    f"to-parking --play {_P4_JSON}": (0, "2,1,3\n", ""),
+    f"to-parking --play {_P4} --format json": (0, "[2, 1, 3]\n", ""),
+    "to-transpositions --play n=1:": (0, "\n", ""),
+    "to-transpositions --play n=1: --format json": (0, "[]\n", ""),
+    f"to-transpositions --play {_P4}": (0, "2:4,1:2,3:4\n", ""),
+    f"to-transpositions --play {_P4_JSON} --format json": (0, "[[2, 4], [1, 2], [3, 4]]\n", ""),
+    "from-parking --n 1 --values ''": (0, "n=1:\n", ""),
+    "from-parking --n 1 --values '' --format json": (0, '{"moves": [], "n": 1}\n', ""),
+    "from-parking --n 4 --values 1,3,1": (0, "n=4: 2-3,1-4,1-3\n", ""),
+    "from-parking --n 4 --values 1,3,1 --format json": (
+        0,
+        '{"moves": [[2, 3], [1, 4], [1, 3]], "n": 4}\n',
+        "",
+    ),
+    "from-transpositions --n 1 --transpositions ''": (0, "n=1:\n", ""),
+    "from-transpositions --n 1 --transpositions '' --format json": (0, '{"moves": [], "n": 1}\n', ""),
+    "from-transpositions --n 4 --transpositions 1:4,2:4,3:4": (0, "n=4: 1-2,2-3,3-4\n", ""),
+    "from-transpositions --n 4 --transpositions 1:4,2:4,3:4 --format json": (
+        0,
+        '{"moves": [[1, 2], [2, 3], [3, 4]], "n": 4}\n',
+        "",
+    ),
+    "realize-tree --n 1 --edges ''": (0, "n=1:\n", ""),
+    "realize-tree --n 1 --edges '' --format json": (0, '{"moves": [], "n": 1}\n', ""),
+    "realize-tree --n 4 --edges 1-2,1-3,3-4": (0, "n=4: 1-3,1-2,3-4\n", ""),
+    "realize-tree --n 4 --edges 1-2,1-3,3-4 --format json": (
+        0,
+        '{"moves": [[1, 3], [1, 2], [3, 4]], "n": 4}\n',
+        "",
+    ),
+    "poset --n 1 --tree ''": (0, _POSET1, ""),
+    "poset --n 1 --tree '' --format json": (0, _POSET1, ""),
+    "poset --n 1 --tree '' --format dot": (0, "digraph edge_poset {\n}\n", ""),
+    "poset --n 1 --tree '' --dot": (0, "digraph edge_poset {\n}\n", ""),
+    "poset --n 4 --tree 1-2,1-3,3-4": (0, _POSET4, ""),
+    "poset --n 4 --tree 1-2,1-3,3-4 --format json": (0, _POSET4, ""),
+    "poset --n 4 --tree 1-2,1-3,3-4 --format dot": (0, _POSET4_DOT, ""),
+    "poset --n 4 --tree 1-2,1-3,3-4 --dot": (0, _POSET4_DOT, ""),
+    # one malformed input for each reader
+    "to-parking --play 'n=3: 1/2'": (2, "", "error: bad move token '1/2'; expected 'i-j'\n"),
+    """to-parking --play '{"n":3,"moves":5}'""": (
+        2,
+        "",
+        "error: JSON field 'moves' must be a list of [i, j] pairs, got 5\n",
+    ),
+    "realize-tree --n 3 --edges 1-2,2/3": (2, "", "error: bad edge token '2/3'; expected 'i-j'\n"),
+    "realize-tree --n 2 --edges ''": (2, "", "error: not a noncrossing tree on 2 vertices: []\n"),
+    "from-transpositions --n 3 --transpositions 1-2": (
+        2,
+        "",
+        "error: bad transposition token '1-2'; expected 'a:b'\n",
+    ),
+    "from-transpositions --n 3 --transpositions ' 1-2 '": (
+        2,
+        "",
+        "error: bad transposition token '1-2'; expected 'a:b'\n",
+    ),
+    "from-parking --n 3 --values 1,x": (2, "", "error: invalid literal for int() with base 10: 'x'\n"),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_golden_bytes(command):
+    assert call(shlex.split(command)) == GOLDEN[command]
+
+
+def test_counts_print_exact_integers_of_any_size():
+    # b_1400 has 4406 digits, past Python's default limit on int -> str
+    code, out, err = call(["counts", "1400", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["b"] == 1400**1398
 
 
 def assert_clean_exit(argv):

@@ -14,12 +14,8 @@ from planted_sprouts import (
     successor_cycle,
     transpositions_to_game,
 )
-from planted_sprouts.factorizations import (
-    cycle_count,
-    prefix_cycle_counts,
-    seq_from_text,
-    seq_to_text,
-)
+from planted_sprouts.factorizations import cycle_count, prefix_cycle_counts
+from planted_sprouts.formats import seq_from_text, seq_to_text
 
 from helpers import all_plays, parking_functions
 

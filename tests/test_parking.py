@@ -12,7 +12,7 @@ from planted_sprouts import (
     is_parking_function,
     parking_to_game,
 )
-from planted_sprouts.parking import parking_from_text, parking_to_text
+from planted_sprouts.formats import parking_from_text, parking_to_text
 
 from helpers import all_plays, parking_functions
 

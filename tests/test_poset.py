@@ -14,7 +14,8 @@ from planted_sprouts import (
     primary_edges,
     replay,
 )
-from planted_sprouts.poset import EdgePoset, poset_to_dot, poset_to_json
+from planted_sprouts.formats import poset_to_dot, poset_to_json
+from planted_sprouts.poset import EdgePoset
 
 from helpers import all_plays, all_trees, parking_functions, signature_of, tree_of
 

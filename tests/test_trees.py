@@ -21,7 +21,8 @@ from planted_sprouts import (
     tree_to_canonical_game,
     tree_to_dot,
 )
-from planted_sprouts.game import PlaySequence, _from_json, edges_to_json
+from planted_sprouts.formats import _from_json, edges_to_json
+from planted_sprouts.game import PlaySequence
 
 from helpers import all_plays, all_trees, parking_functions, pollak_shift, signature_of, tree_of
 
