@@ -37,7 +37,6 @@ from .game import (
     IllegalMoveError,
     MoveRecord,
     PlaySequence,
-    apply_move,
     endstate_signature,
     legal_moves,
     new_game,

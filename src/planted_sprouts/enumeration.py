@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .factorizations import (
     transpositions_to_game,
 )
 from .game import PlaySequence, _walk_plays, replay
-from .parking import ParkingFunction, game_to_parking, is_parking_function, parking_to_game
+from .parking import ParkingFunction, game_to_parking, parking_to_game
 from .poset import build_poset, games_with_endstate, linear_extensions
 from .trees import (
     count_endstates,
@@ -57,7 +58,9 @@ def count_plays_recursive(n: int) -> int:
         raise ValueError(f"game order must be positive, got {n}")
     b = [0, 1]
     for m in range(2, n + 1):
-        total = sum(math.comb(m - 2, i - 1) * b[i] * b[m - i] for i in range(1, m))
+        # the terms at i and m-i are equal, so sum the first half and double it
+        half = sum(math.comb(m - 2, i - 1) * b[i] * b[m - i] for i in range(1, (m + 1) // 2))
+        total = 2 * half + (math.comb(m - 2, m // 2 - 1) * b[m // 2] ** 2 if m % 2 == 0 else 0)
         if (m * total) % 2:
             raise ArithmeticError(f"recursion sum for n={m} is not divisible by 2 after scaling")
         b.append(m * total // 2)
@@ -117,27 +120,31 @@ class CountReport:
 
 
 def _play_readers(n):
-    """The play sets, as what one play (its arcs and ccw pairs) adds to each,
-    and the per-play tests, each of which must hold on every play."""
+    """The play sets, as what one play adds to each, and the per-play tests,
+    each of which must hold on every play.  Both read a play as its arcs,
+    its ccw pairs and its parking values."""
     successor, counts = successor_cycle(n), list(range(1, n + 1))
+    # each arc (i, j) as a move, interned: a play's moves are tuple(map(move, arcs))
+    move = {(i, j): frozenset((i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)}.get
 
-    def parking_round_trip(arcs, ccw):
-        values = tuple(a for a, _ in ccw)
+    def parking_round_trip(arcs, ccw, values):
         back = parking_to_game(ParkingFunction(n, values))
-        return back.moves == tuple(map(frozenset, arcs)) and game_to_parking(back).values == values
+        return back.moves == tuple(map(move, arcs)) and game_to_parking(back).values == values
 
-    def transposition_round_trip(arcs, ccw):
-        return transpositions_to_game(TranspositionSeq(n, ccw)).moves == tuple(map(frozenset, arcs))
+    def transposition_round_trip(arcs, ccw, values):
+        return transpositions_to_game(TranspositionSeq(n, ccw)).moves == tuple(map(move, arcs))
 
     sets = {
-        "signatures": lambda arcs, ccw: frozenset(arcs),
-        "parkings": lambda arcs, ccw: tuple(a for a, _ in ccw),
-        "factorizations": lambda arcs, ccw: ccw,
+        "signatures": lambda arcs, ccw, values: frozenset(arcs),
+        "parkings": lambda arcs, ccw, values: values,
+        "factorizations": lambda arcs, ccw, values: ccw,
     }
     tests = {
         "parking_round_trip": parking_round_trip,
-        "factorization_product": lambda arcs, ccw: compose_in_order(n, ccw) == successor,
-        "cycle_growth": lambda arcs, ccw: prefix_cycle_counts(TranspositionSeq(n, ccw)) == counts,
+        "factorization_product": lambda arcs, ccw, values: compose_in_order(n, ccw) == successor,
+        "cycle_growth": lambda arcs, ccw, values: (
+            prefix_cycle_counts(TranspositionSeq(n, ccw)) == counts
+        ),
         "transposition_round_trip": transposition_round_trip,
     }
     return sets, tests
@@ -149,16 +156,22 @@ def _play_stats(n, first_arc, reads):
     gather, test = _play_readers(n)
     sets = {name: set() for name in gather if name in reads}
     holds = {name: True for name in test if name in reads}
-    count = 0
+    adds = [(sets[name].add, gather[name]) for name in sets]
+    tests = [(name, test[name]) for name in holds]
+    want_values = "parkings" in reads or "parking_round_trip" in reads
+    count, values = 0, None
     for arcs, ccw in _walk_plays(n, first_arc):
         count += 1
-        for name, found in sets.items():
-            found.add(gather[name](arcs, ccw))
-        for name in holds:
-            try:  # a map that rejects a play of the walk fails its test
-                holds[name] = holds[name] and test[name](arcs, ccw)
-            except ValueError:
-                holds[name] = False
+        if want_values:  # built once, for the parking set and the round trip
+            values = tuple([a for a, _ in ccw])
+        for add, read in adds:
+            add(read(arcs, ccw, values))
+        for name, holds_on in tests:
+            if holds[name]:
+                try:  # a map that rejects a play of the walk fails its test
+                    holds[name] = holds_on(arcs, ccw, values)
+                except ValueError:
+                    holds[name] = False
     return count, sets, holds
 
 
@@ -192,10 +205,26 @@ def _primary_coherent(tree) -> bool:
     )
 
 
+def _sorted_parking_functions(n: int):
+    """The weakly increasing parking functions of length n-1, a_k <= k:
+    Catalan-many, out of the C(2n-3, n-1) weakly increasing sequences."""
+    for rising in itertools.combinations_with_replacement(range(1, n), n - 1):
+        if all(map(operator.le, rising, range(1, n))):
+            yield rising
+
+
+def _parking_functions(n: int) -> set:
+    """Every parking function of length n-1, as the rearrangements of the
+    weakly increasing ones (Foata & Riordan, Aequationes Math. 10, 1974)."""
+    image = set()
+    for rising in _sorted_parking_functions(n):
+        image.update(itertools.permutations(rising))
+    return image
+
+
 def _parking_image(r, got) -> bool:
-    """The plays' values are every parking function, by brute force."""
-    candidates = itertools.product(range(1, r.n), repeat=r.n - 1)
-    return got["parkings"] == {values for values in candidates if is_parking_function(r.n, values)}
+    """The plays' values are every parking function."""
+    return got["parkings"] == _parking_functions(r.n)
 
 
 def _factorization_image(r, got) -> bool:

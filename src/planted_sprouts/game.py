@@ -64,10 +64,12 @@ class PlaySequence:
     def of(cls, n: int, pairs) -> "PlaySequence":
         moves = []
         for pair in pairs:
-            a, b = sorted(pair)
+            a, b = pair
+            if b < a:
+                a, b = b, a
             if not (isinstance(a, int) and isinstance(b, int)):
                 raise ValueError(f"move labels must be integers, got {pair!r}")
-            if a == b or not (1 <= a <= n) or not (1 <= b <= n):
+            if not 1 <= a < b <= n:
                 raise ValueError(f"move {a}-{b} is not a pair of distinct labels in 1..{n}")
             moves.append(frozenset((a, b)))
         return cls(n=n, moves=tuple(moves))
@@ -90,46 +92,6 @@ def legal_moves(state: GameState):
             for q in range(p + 1, m):
                 out.append((si, (p, q)))
     return out
-
-
-def apply_move(state: GameState, subgame_index: int, p: int, q: int) -> GameState:
-    """Join the arms at positions p < q of one subgame, splitting it in two.
-
-    With joined arms carrying short labels i, j and long labels L_i, L_j,
-    the two replacement subgames are (new arm i, arms strictly between p
-    and q) and (new arm j, the remaining arms in cyclic order).  The new
-    arms' long labels are (L_i, L_j) and (L_j, L_i).
-    """
-    if not 0 <= subgame_index < len(state.subgames):
-        raise ValueError(f"no subgame with index {subgame_index}")
-    sg = state.subgames[subgame_index]
-    m = len(sg)
-    if not (0 <= p < q < m):
-        raise ValueError(f"positions must satisfy 0 <= p < q < {m}, got p={p} q={q}")
-    i, long_i = sg[p]
-    j, long_j = sg[q]
-    arc = frozenset((i, j))
-    if any(rec.arc_label == arc for rec in state.history):
-        raise IllegalMoveError(
-            len(state.history), f"arc {min(i, j)}-{max(i, j)} repeats an earlier arc"
-        )
-    ccw = frozenset((sg[(p - 1) % m][0], sg[(q - 1) % m][0]))
-    side_a = ((i, (long_i, long_j)),) + sg[p + 1 : q]
-    side_b = ((j, (long_j, long_i)),) + sg[q + 1 :] + sg[:p]
-    subgames = (
-        state.subgames[:subgame_index] + (side_a, side_b) + state.subgames[subgame_index + 1 :]
-    )
-    record = MoveRecord(arc_label=arc, ccw_pair=ccw, long_pair=(long_i, long_j))
-    return GameState(n=state.n, subgames=subgames, history=state.history + (record,))
-
-
-def locate_labels(state: GameState) -> dict:
-    """Map short label -> (subgame index, position).  Labels are globally unique."""
-    loc = {}
-    for si, sg in enumerate(state.subgames):
-        for pos, (short, _) in enumerate(sg):
-            loc[short] = (si, pos)
-    return loc
 
 
 class _Arms:
@@ -167,9 +129,12 @@ class _Arms:
         x, y = nxt[i], nxt[j]
         while x != i and y != j:
             x, y = nxt[x], nxt[y]
-        for x in self.cycle(i if x == i else j):
-            self.region[x] = self.regions
-        self.regions += 1
+        start = i if x == i else j
+        region, new = self.region, self.regions
+        region[start], x = new, nxt[start]
+        while x != start:
+            region[x], x = new, nxt[x]
+        self.regions = new + 1
         return pair
 
     def cycle(self, x: int) -> list:
@@ -184,22 +149,38 @@ class _Arms:
         """Make a play's moves, yielding each one's labels i < j and ccw pair.
         Raises IllegalMoveError with the index of the first bad move if a pair
         repeats or its two labels sit in different subgames at its turn."""
-        seen = set()
-        for index, arc in enumerate(play.moves):
-            i, j = sorted(arc)
-            if arc in seen:
-                raise IllegalMoveError(index, f"arc {i}-{j} repeats an earlier arc")
-            if self.region[i] != self.region[j]:
-                raise IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
-            seen.add(arc)
-            yield (i, j) + self.move(i, j)
+        region, move = self.region, self.move
+        for index, (i, j) in enumerate(play.moves):
+            if j < i:
+                i, j = j, i
+            if region[i] != region[j]:
+                raise _illegal(play, index)
+            yield (i, j) + move(i, j)
+
+
+def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
+    """The error for a move whose labels lie in different regions.  A move
+    parts the arms it joins for good, so a repeated arc is always one."""
+    i, j = sorted(play.moves[index])
+    if play.moves[index] in play.moves[:index]:
+        return IllegalMoveError(index, f"arc {i}-{j} repeats an earlier arc")
+    return IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
 
 
 def _ccw_pairs(play: PlaySequence) -> tuple:
-    """The sorted ccw pair of every move of a complete legal play."""
+    """The sorted ccw pair of every move of a complete legal play, checked
+    as in `_Arms.play`."""
     if len(play.moves) < play.n - 1:  # before any array of size n; a longer play fails at move n
         raise ValueError("play is not complete")
-    return tuple(step[2:] for step in _Arms(play.n).play(play))
+    arms = _Arms(play.n)
+    region, move, pairs = arms.region, arms.move, []
+    for index, (i, j) in enumerate(play.moves):
+        if j < i:
+            i, j = j, i
+        if region[i] != region[j]:
+            raise _illegal(play, index)
+        pairs.append(move(i, j))
+    return tuple(pairs)
 
 
 def _walk_plays(n: int, first_arc=None):
@@ -207,35 +188,55 @@ def _walk_plays(n: int, first_arc=None):
     sorted pairs, depth first with arcs in lexicographic order at each stage.
     `first_arc` prunes the root to one move.  A region's labels increase
     clockwise but for one descent, so the arcs (x, y), y > x, open at x are
-    nxt[x], nxt[nxt[x]], ... while above x."""
+    nxt[x], nxt[nxt[x]], ... while above x.  The path of arcs is the stack:
+    undoing its last arc (x, y) resumes the stage below at y's successor.
+    After n-2 moves one region of two arms x < nxt[x] is left, and the last
+    move joins them; its ccw pair is its own arc."""
     arms = _Arms(n)
     nxt, join = arms.nxt, arms.join
-    root = None if first_arc is None else tuple(first_arc)
-    path, pairs = [], []
-
-    def rec():
-        if len(path) == n - 1:
-            yield tuple(path), tuple(pairs)
+    path, pairs, floor = [], [], 0
+    if first_arc is not None and n > 1:
+        x, y = first_arc
+        if not 1 <= x < y <= n:
             return
-        for x in range(1, n + 1):
+        pairs.append(join(x, y))
+        path.append((x, y))
+        floor = 1
+    if len(path) >= n - 2:  # n <= 2, or n = 3 with its first arc given
+        if len(path) == n - 2:  # arms 1 and nxt[1] are left, or else 2 and 3
+            x = 1 if nxt[1] > 1 else 2
+            path.append((x, nxt[x]))
+            pairs.append((x, nxt[x]))
+        yield tuple(path), tuple(pairs)
+        return
+    x, y = 1, nxt[1]
+    while True:
+        if y > x:
+            pairs.append(join(x, y))
+            path.append((x, y))
+            if len(path) < n - 2:
+                x, y = 1, nxt[1]
+                continue
+            x = 1
+            while nxt[x] <= x:
+                x += 1
+            last = (x, nxt[x])
+            yield (*path, last), (*pairs, last)
+        elif x < n:
+            x += 1
             y = nxt[x]
-            while y > x:
-                arc = (x, y)
-                if path or root is None or arc == root:
-                    pairs.append(join(x, y))
-                    path.append(arc)
-                    yield from rec()
-                    path.pop()
-                    pairs.pop()
-                    join(x, y)
-                y = nxt[y]
-
-    return rec()
+            continue
+        elif len(path) == floor:
+            return
+        x, y = path.pop()
+        pairs.pop()
+        join(x, y)
+        y = nxt[y]
 
 
 def replay(play: PlaySequence) -> GameState:
-    """Replay a play from the initial state; equal to the apply_move fold,
-    and raises IllegalMoveError at the first bad move (see `_Arms.play`).
+    """Replay a play from the initial state; raises IllegalMoveError at the
+    first bad move (see `_Arms.play`).
 
     The moves run on `_Arms` and the state is built once, at the end.  Of a
     split region, the side whose joined arm comes first from the region's

@@ -9,6 +9,8 @@ and the map is invertible move by move.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import le
 
 from .game import PlaySequence, _Arms, _ccw_pairs
 
@@ -18,9 +20,12 @@ def is_parking_function(n: int, values) -> bool:
     values = tuple(values)
     if len(values) != n - 1:
         return False
-    if not all(isinstance(v, int) and 1 <= v <= n - 1 for v in values):
+    if not all(map(isinstance, values, repeat(int))):
         return False
-    return all(v <= k + 1 for k, v in enumerate(sorted(values)))
+    if values and min(values) < 1:
+        return False
+    # a'_k <= k for every k, which also bounds each entry by n-1
+    return all(map(le, sorted(values), range(1, len(values) + 1)))
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class ParkingFunction:
 
 def game_to_parking(play: PlaySequence) -> ParkingFunction:
     """The k-th value is the min of the k-th move's counterclockwise pair."""
-    return ParkingFunction(n=play.n, values=tuple(a for a, _ in _ccw_pairs(play)))
+    return ParkingFunction(n=play.n, values=tuple([a for a, _ in _ccw_pairs(play)]))
 
 
 def parking_to_game(pf: ParkingFunction) -> PlaySequence:

@@ -9,6 +9,9 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from planted_sprouts import (
+    GameState,
+    IllegalMoveError,
+    MoveRecord,
     ParkingFunction,
     endstate_to_tree,
     enumerate_games,
@@ -45,6 +48,47 @@ def pollak_shift(n, seq):
         taken[x] = True
     empty = taken.index(False)
     return tuple((x - empty - 1) % n + 1 for x in seq)
+
+
+def apply_move(state: GameState, subgame_index: int, p: int, q: int) -> GameState:
+    """The reference fold that `replay` must match: join the arms at
+    positions p < q of one subgame, splitting it in two.
+
+    With joined arms carrying short labels i, j and long labels L_i, L_j,
+    the two replacement subgames are (new arm i, arms strictly between p
+    and q) and (new arm j, the remaining arms in cyclic order).  The new
+    arms' long labels are (L_i, L_j) and (L_j, L_i).
+    """
+    if not 0 <= subgame_index < len(state.subgames):
+        raise ValueError(f"no subgame with index {subgame_index}")
+    sg = state.subgames[subgame_index]
+    m = len(sg)
+    if not (0 <= p < q < m):
+        raise ValueError(f"positions must satisfy 0 <= p < q < {m}, got p={p} q={q}")
+    i, long_i = sg[p]
+    j, long_j = sg[q]
+    arc = frozenset((i, j))
+    if any(rec.arc_label == arc for rec in state.history):
+        raise IllegalMoveError(
+            len(state.history), f"arc {min(i, j)}-{max(i, j)} repeats an earlier arc"
+        )
+    ccw = frozenset((sg[(p - 1) % m][0], sg[(q - 1) % m][0]))
+    side_a = ((i, (long_i, long_j)),) + sg[p + 1 : q]
+    side_b = ((j, (long_j, long_i)),) + sg[q + 1 :] + sg[:p]
+    subgames = (
+        state.subgames[:subgame_index] + (side_a, side_b) + state.subgames[subgame_index + 1 :]
+    )
+    record = MoveRecord(arc_label=arc, ccw_pair=ccw, long_pair=(long_i, long_j))
+    return GameState(n=state.n, subgames=subgames, history=state.history + (record,))
+
+
+def locate_labels(state: GameState) -> dict:
+    """Map short label -> (subgame index, position).  Labels are globally unique."""
+    loc = {}
+    for si, sg in enumerate(state.subgames):
+        for pos, (short, _) in enumerate(sg):
+            loc[short] = (si, pos)
+    return loc
 
 
 @st.composite

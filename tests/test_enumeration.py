@@ -1,5 +1,6 @@
 """Enumerators, counting formulas, and the verification harness."""
 
+import hashlib
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from planted_sprouts import (
     count_plays_recursive,
     enumeration,
     enumerate_games,
+    game,
     variant_counts,
     verify_all,
 )
@@ -42,14 +44,34 @@ class TestEnumerateGames:
         assert len(set(plays)) == len(plays)
 
     def test_first_arc_partition(self):
-        whole = set(all_plays(4))
-        parts = set()
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                part = set(enumerate_games(4, first_arc=(i, j)))
-                assert parts.isdisjoint(part)
-                parts |= part
-        assert parts == whole
+        # the parts, first arcs taken in lexicographic order, are the whole walk in order
+        for n in (2, 3, 4, 5, 6):
+            parts = []
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    part = list(enumerate_games(n, first_arc=(i, j)))
+                    assert part and all(play.moves[0] == {i, j} for play in part)
+                    parts += part
+            assert parts == list(all_plays(n))
+
+    def test_walk_order_pinned(self):
+        plays = list(game._walk_plays(6))
+        assert len(plays) == 1296
+        assert plays[0] == (
+            ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
+            ((1, 6), (2, 6), (3, 6), (4, 6), (5, 6)),
+        )
+        assert plays[-1] == (
+            ((5, 6), (4, 6), (3, 6), (2, 6), (1, 6)),
+            ((4, 5), (3, 4), (2, 3), (1, 2), (1, 6)),
+        )
+        digest = hashlib.sha256(repr(plays).encode()).hexdigest()
+        assert digest == "d3cb56d0c637c4b43c83741305f0faa02b7d910c984b79efcf9aa8b3a49f2425"
+
+    def test_walk_of_order_one_and_bad_first_arcs(self):
+        assert list(game._walk_plays(1)) == [((), ())]
+        for arc in ((2, 1), (1, 1), (0, 2), (3, 5)):
+            assert list(game._walk_plays(4, arc)) == []
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -194,6 +216,18 @@ class TestVerifyAll:
         monkeypatch.setattr(enumeration, "game_to_parking", unused)
         report = verify_all(6, checks=["parking_injective", "parking_image"])
         assert report.passed and report.pf_image_size == 1296
+
+    def test_parking_image_fails_without_any_one_rising_sequence(self, monkeypatch):
+        right = enumeration._sorted_parking_functions
+        for n, drops in ((5, range(14)), (7, (131,))):
+            for drop in drops:
+
+                def short(m):
+                    return (r for k, r in enumerate(right(m)) if k != drop)
+
+                monkeypatch.setattr(enumeration, "_sorted_parking_functions", short)
+                report = verify_all(n, checks=["parking_image", "parking_injective"])
+                assert report.checks == [("parking_injective", True), ("parking_image", False)]
 
     def test_round_trip_alone_gathers_no_parking_set(self):
         report = verify_all(5, checks=["parking_round_trip"])

@@ -7,8 +7,9 @@ from planted_sprouts import (
     IllegalMoveError,
     MoveRecord,
     PlaySequence,
-    apply_move,
     endstate_signature,
+    game_to_parking,
+    game_to_transpositions,
     legal_moves,
     new_game,
     play_from_json,
@@ -17,9 +18,7 @@ from planted_sprouts import (
     play_to_text,
     replay,
 )
-from planted_sprouts.game import locate_labels
-
-from helpers import all_plays
+from helpers import all_plays, apply_move, locate_labels
 
 
 def shorts(state):
@@ -107,6 +106,22 @@ class TestReplay:
             replay(PlaySequence.of(4, [(1, 3), (1, 3)]))
         assert exc.value.index == 1
         assert "repeats" in exc.value.reason
+
+    @pytest.mark.parametrize(
+        "n,pairs,index,reason",
+        [
+            (3, [(1, 2), (1, 3)], 1, "labels 1 and 3 lie in different subgames"),
+            (4, [(1, 3), (1, 3), (2, 3)], 1, "arc 1-3 repeats an earlier arc"),
+            (5, [(1, 3), (3, 5), (1, 2), (3, 1)], 3, "arc 1-3 repeats an earlier arc"),
+            (5, [(1, 3), (3, 5), (1, 2), (4, 5)], 3, "labels 4 and 5 lie in different subgames"),
+        ],
+    )
+    def test_every_map_rejects_alike(self, n, pairs, index, reason):
+        play = PlaySequence.of(n, pairs)
+        for fn in (replay, game_to_parking, game_to_transpositions):
+            with pytest.raises(IllegalMoveError) as exc:
+                fn(play)
+            assert (exc.value.index, exc.value.reason) == (index, reason)
 
     def test_empty_play_order_1(self):
         assert replay(PlaySequence.of(1, [])).is_complete()

@@ -1,12 +1,14 @@
 """Play <-> parking function bijection."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planted_sprouts import (
     ParkingFunction,
+    enumeration,
     PlaySequence,
     game_to_parking,
     is_parking_function,
@@ -34,6 +36,8 @@ class TestIsParkingFunction:
 
     def test_out_of_range_value(self):
         assert not is_parking_function(3, (1, 3))
+        assert not is_parking_function(3, (0, 1))
+        assert not is_parking_function(4, (-1, 1, 2))
 
     def test_wrong_length(self):
         assert not is_parking_function(4, (1, 2))
@@ -45,6 +49,20 @@ class TestIsParkingFunction:
     def test_invalid_constructor(self):
         with pytest.raises(ValueError):
             ParkingFunction(3, (2, 2))
+
+
+class TestGeneratedImage:
+    """verify's parking image is generated; the filter above is its oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_filtered_candidates(self, n):
+        assert enumeration._parking_functions(n) == brute_force_parking_functions(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_catalan_many_rising(self, n):
+        rising = list(enumeration._sorted_parking_functions(n))
+        assert len(rising) == len(set(rising)) == math.comb(2 * n - 2, n - 1) // n
+        assert all(list(r) == sorted(r) for r in rising)
 
 
 class TestGameToParking:
