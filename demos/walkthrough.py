@@ -41,8 +41,8 @@ print(f"start: {len(state.subgames[0])} arms in one region, "
 play = play_from_text("n=4: 1-3,1-2,3-4")
 final = replay(play)
 print(f"play {play_to_text(play)} ends with {len(final.subgames)} regions")
-print("arcs drawn:", [tuple(sorted(m.arc_label)) for m in final.history])
-print("ccw neighbor pairs:", [tuple(sorted(m.ccw_pair)) for m in final.history])
+print("arcs drawn:", [m.arc_label for m in final.history])
+print("ccw neighbor pairs:", [m.ccw_pair for m in final.history])
 
 section("Endstates are noncrossing trees")
 tree = endstate_to_tree(final)

@@ -41,7 +41,7 @@ def enumerate_games(n: int, first_arc=None):
     lexicographic order at each stage.  Optionally restricted to plays whose
     first move draws `first_arc` (for partitioned runs)."""
     for arcs, _ in _walk_plays(n, first_arc):
-        yield PlaySequence(n, tuple(map(frozenset, arcs)))
+        yield PlaySequence(n, arcs)
 
 
 def count_plays(n: int) -> int:
@@ -124,15 +124,13 @@ def _play_readers(n):
     each of which must hold on every play.  Both read a play as its arcs,
     its ccw pairs and its parking values."""
     successor, counts = successor_cycle(n), list(range(1, n + 1))
-    # each arc (i, j) as a move, interned: a play's moves are tuple(map(move, arcs))
-    move = {(i, j): frozenset((i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)}.get
 
     def parking_round_trip(arcs, ccw, values):
         back = parking_to_game(ParkingFunction(n, values))
-        return back.moves == tuple(map(move, arcs)) and game_to_parking(back).values == values
+        return back.moves == arcs and game_to_parking(back).values == values
 
     def transposition_round_trip(arcs, ccw, values):
-        return transpositions_to_game(TranspositionSeq(n, ccw)).moves == tuple(map(move, arcs))
+        return transpositions_to_game(TranspositionSeq(n, ccw)).moves == arcs
 
     sets = {
         "signatures": lambda arcs, ccw, values: frozenset(arcs),
@@ -240,7 +238,7 @@ def _extensions_are_plays(r, got) -> bool:
     total = 0
     for tree in got["trees"]:
         extensions = set(linear_extensions(build_poset(tree)))
-        orders = {tuple(tuple(sorted(arc)) for arc in p.moves) for p in games_with_endstate(tree)}
+        orders = {p.moves for p in games_with_endstate(tree)}
         if extensions != orders:
             return False
         total += len(extensions)
@@ -311,8 +309,11 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
 
     By default each check runs only up to its desk-scale cutoff; naming a
     check explicitly in `checks` forces it regardless of the cutoff.  One
-    walk over the plays gathers just what the checks that run read.
+    walk over the plays gathers just what the checks that run read, split
+    across `jobs` processes; `jobs` below 1 is a ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if checks is not None:
         unknown = set(checks) - set(CHECK_NAMES)
         if unknown:

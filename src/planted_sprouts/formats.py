@@ -53,7 +53,7 @@ def _from_json(text: str, key: str):
 
 
 def play_to_text(play: PlaySequence) -> str:
-    body = _pairs_to_text(sorted(arc) for arc in play.moves)
+    body = _pairs_to_text(play.moves)
     return f"n={play.n}: {body}" if body else f"n={play.n}:"
 
 
@@ -65,7 +65,7 @@ def play_from_text(text: str) -> PlaySequence:
 
 
 def play_to_json(play: PlaySequence) -> str:
-    obj = {"n": play.n, "moves": [sorted(arc) for arc in play.moves]}
+    obj = {"n": play.n, "moves": play.moves}
     return json.dumps(obj, sort_keys=True)
 
 

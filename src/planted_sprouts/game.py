@@ -10,7 +10,8 @@ of one region, and every arm carries a short label (1..n) plus a long label
 recording its full ancestry.  Long labels are either an int (an original
 arm) or a nested pair of long labels.  Short labels are globally unique at
 every stage, which is what lets a play be serialized as a bare sequence of
-unordered label pairs.
+label pairs.  Every arc, arc label and ccw pair is a sorted tuple (i, j)
+with i < j, the same form as tree edges, poset covers and transpositions.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ class MoveRecord:
     """One move: its arc label, the counterclockwise-neighbor pair captured
     in the subgame the move was made in (that subgame is destroyed by the
     move, so the pair is recorded eagerly), and the joined arms' long labels.
+    The arc label and the ccw pair are sorted pairs (i, j), i < j.
     """
 
-    arc_label: frozenset
-    ccw_pair: frozenset
+    arc_label: tuple
+    ccw_pair: tuple
     long_pair: tuple
 
 
@@ -51,14 +53,15 @@ class GameState:
 
 @dataclass(frozen=True)
 class PlaySequence:
-    """An ordered list of unordered short-label pairs (arc labels).
+    """An ordered list of short-label pairs (arc labels), each a sorted
+    pair (i, j) with i < j.
 
     Because short labels are globally unique at every state, this compact
     form determines the entire state evolution, long labels included.
     """
 
     n: int
-    moves: tuple  # tuple of frozensets of size 2
+    moves: tuple  # of (i, j) tuples with i < j
 
     @classmethod
     def of(cls, n: int, pairs) -> "PlaySequence":
@@ -71,7 +74,7 @@ class PlaySequence:
                 raise ValueError(f"move labels must be integers, got {pair!r}")
             if not 1 <= a < b <= n:
                 raise ValueError(f"move {a}-{b} is not a pair of distinct labels in 1..{n}")
-            moves.append(frozenset((a, b)))
+            moves.append((a, b))
         return cls(n=n, moves=tuple(moves))
 
 
@@ -146,41 +149,32 @@ class _Arms:
         return out
 
     def play(self, play: PlaySequence):
-        """Make a play's moves, yielding each one's labels i < j and ccw pair.
-        Raises IllegalMoveError with the index of the first bad move if a pair
-        repeats or its two labels sit in different subgames at its turn."""
+        """Make a play's moves, yielding each one's arc (i, j) and sorted ccw
+        pair.  The one legality loop: raises IllegalMoveError with the index
+        of the first bad move if an arc repeats or its two labels sit in
+        different subgames at its turn."""
         region, move = self.region, self.move
         for index, (i, j) in enumerate(play.moves):
-            if j < i:
-                i, j = j, i
             if region[i] != region[j]:
                 raise _illegal(play, index)
-            yield (i, j) + move(i, j)
+            yield (i, j), move(i, j)
 
 
 def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
     """The error for a move whose labels lie in different regions.  A move
     parts the arms it joins for good, so a repeated arc is always one."""
-    i, j = sorted(play.moves[index])
-    if play.moves[index] in play.moves[:index]:
+    arc = i, j = play.moves[index]
+    if arc in play.moves[:index]:
         return IllegalMoveError(index, f"arc {i}-{j} repeats an earlier arc")
     return IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
 
 
 def _ccw_pairs(play: PlaySequence) -> tuple:
-    """The sorted ccw pair of every move of a complete legal play, checked
-    as in `_Arms.play`."""
+    """The sorted ccw pair of every move of a complete legal play, made and
+    checked by `_Arms.play`."""
     if len(play.moves) < play.n - 1:  # before any array of size n; a longer play fails at move n
         raise ValueError("play is not complete")
-    arms = _Arms(play.n)
-    region, move, pairs = arms.region, arms.move, []
-    for index, (i, j) in enumerate(play.moves):
-        if j < i:
-            i, j = j, i
-        if region[i] != region[j]:
-            raise _illegal(play, index)
-        pairs.append(move(i, j))
-    return tuple(pairs)
+    return tuple([pair for _, pair in _Arms(play.n).play(play)])
 
 
 def _walk_plays(n: int, first_arc=None):
@@ -249,14 +243,14 @@ def replay(play: PlaySequence) -> GameState:
     slot = [0]  # each region id's slot
     head, after = [1], [None]  # each slot's first arm and the slot after it
     history = []
-    for i, j, a, b in arms.play(play):
+    for (i, j), ccw in arms.play(play):
         s = slot[region[j] if region[i] == len(slot) else region[i]]
         h = head[s]
         first = i if h == i or (region[h] == region[j] and h != j) else j
         second = i + j - first
         pair = long[first], long[second]
         long[first], long[second] = pair, pair[::-1]
-        history.append(MoveRecord(frozenset((i, j)), frozenset((a, b)), pair))
+        history.append(MoveRecord((i, j), ccw, pair))
         slot.append(None)
         slot[region[first]], slot[region[second]] = s, len(head)
         head.append(second)
@@ -270,7 +264,8 @@ def replay(play: PlaySequence) -> GameState:
 
 
 def endstate_signature(state: GameState) -> frozenset:
-    """The set of n-1 arc labels of a complete game."""
+    """The set of n-1 arc labels (i, j), i < j, of a complete game: its
+    endstate tree's edges."""
     if not state.is_complete():
         raise ValueError("state is not complete; some subgame still has two or more arms")
     signature = frozenset(rec.arc_label for rec in state.history)

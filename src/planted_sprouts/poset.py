@@ -102,7 +102,7 @@ def games_with_endstate(tree: NoncrossingTree):
 
     def rec(played, unplayed):
         if not unplayed:
-            out.append(PlaySequence(tree.n, tuple(map(frozenset, played))))
+            out.append(PlaySequence(tree.n, played))
         for k, (x, y) in enumerate(unplayed):
             rest = unplayed[:k] + unplayed[k + 1 :]
             join(x, y)

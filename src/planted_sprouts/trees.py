@@ -107,8 +107,7 @@ class NoncrossingTree:
 
 def endstate_to_tree(state) -> NoncrossingTree:
     """The noncrossing tree whose edges are a complete game's arc labels."""
-    signature = endstate_signature(state)
-    return NoncrossingTree.from_edges(state.n, (tuple(sorted(arc)) for arc in signature))
+    return NoncrossingTree.from_edges(state.n, endstate_signature(state))
 
 
 def _primary(nb) -> list:

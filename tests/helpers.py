@@ -31,10 +31,6 @@ def all_trees(n):
     return tuple(enumerate_noncrossing_trees(n))
 
 
-def signature_of(play):
-    return frozenset(tuple(sorted(arc)) for arc in play.moves)
-
-
 def pollak_shift(n, seq):
     """The one cyclic shift of seq (n-1 values in 0..n-1) that is a parking
     function, by Pollak's argument (Foata & Riordan, Aequationes Math. 10,
@@ -67,12 +63,11 @@ def apply_move(state: GameState, subgame_index: int, p: int, q: int) -> GameStat
         raise ValueError(f"positions must satisfy 0 <= p < q < {m}, got p={p} q={q}")
     i, long_i = sg[p]
     j, long_j = sg[q]
-    arc = frozenset((i, j))
+    arc = (min(i, j), max(i, j))
     if any(rec.arc_label == arc for rec in state.history):
-        raise IllegalMoveError(
-            len(state.history), f"arc {min(i, j)}-{max(i, j)} repeats an earlier arc"
-        )
-    ccw = frozenset((sg[(p - 1) % m][0], sg[(q - 1) % m][0]))
+        raise IllegalMoveError(len(state.history), f"arc {arc[0]}-{arc[1]} repeats an earlier arc")
+    a, b = sg[(p - 1) % m][0], sg[(q - 1) % m][0]
+    ccw = (min(a, b), max(a, b))
     side_a = ((i, (long_i, long_j)),) + sg[p + 1 : q]
     side_b = ((j, (long_j, long_i)),) + sg[q + 1 :] + sg[:p]
     subgames = (

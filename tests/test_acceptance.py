@@ -35,7 +35,7 @@ from planted_sprouts import (
     variant_counts,
 )
 
-from helpers import all_plays, all_trees, signature_of
+from helpers import all_plays, all_trees
 
 
 def report(criterion, ok):
@@ -47,7 +47,7 @@ def test_criterion_01_endstate_counts():
     expected = {1: 1, 2: 1, 3: 3, 4: 12, 5: 55, 6: 273, 7: 1428}
     ok = True
     for n in range(1, 8):
-        signatures = {signature_of(p) for p in all_plays(n)}
+        signatures = {frozenset(p.moves) for p in all_plays(n)}
         ok = ok and len(signatures) == expected[n] == count_endstates(n)
     ok = ok and count_endstates(7) == math.comb(18, 6) // 13 == 1428
     report("1 endstate counts (n=1..7)", ok)
@@ -70,7 +70,7 @@ def test_criterion_03_recursion():
 def test_criterion_04_tree_bijection():
     ok = True
     for n in range(1, 8):
-        signatures = [signature_of(p) for p in all_plays(n)]
+        signatures = [frozenset(p.moves) for p in all_plays(n)]
         distinct = set(signatures)
         ok = ok and all(is_noncrossing_tree(n, sig) for sig in distinct)
         # injectivity on endstates: distinct signature count equals the
@@ -132,10 +132,7 @@ def test_criterion_08_poset_equivalence():
         total = 0
         for tree in all_trees(n):
             extensions = set(linear_extensions(build_poset(tree)))
-            orders = {
-                tuple(tuple(sorted(arc)) for arc in play.moves)
-                for play in games_with_endstate(tree)
-            }
+            orders = {play.moves for play in games_with_endstate(tree)}
             ok = ok and extensions == orders
             total += len(extensions)
         ok = ok and total == count_plays(n)

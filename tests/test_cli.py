@@ -400,6 +400,8 @@ GOLDEN = {
         "error: bad transposition token '1-2'; expected 'a:b'\n",
     ),
     "from-parking --n 3 --values 1,x": (2, "", "error: invalid literal for int() with base 10: 'x'\n"),
+    "verify 3 --jobs 0": (2, "", "error: jobs must be at least 1, got 0\n"),
+    "verify 3 --jobs -5": (2, "", "error: jobs must be at least 1, got -5\n"),
 }
 
 

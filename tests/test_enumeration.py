@@ -6,6 +6,7 @@ import math
 import pytest
 
 from planted_sprouts import (
+    PlaySequence,
     cli,
     count_endstates,
     count_plays,
@@ -13,11 +14,18 @@ from planted_sprouts import (
     enumeration,
     enumerate_games,
     game,
+    game_to_parking,
+    game_to_transpositions,
+    games_with_endstate,
+    parking_to_game,
+    replay,
+    transpositions_to_game,
+    tree_to_canonical_game,
     variant_counts,
     verify_all,
 )
 
-from helpers import SerialPool, all_plays
+from helpers import SerialPool, all_plays, all_trees
 
 
 # verify_all(n).to_json() for n = 1..6 with the default cutoffs, byte for byte.
@@ -50,7 +58,7 @@ class TestEnumerateGames:
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     part = list(enumerate_games(n, first_arc=(i, j)))
-                    assert part and all(play.moves[0] == {i, j} for play in part)
+                    assert part and all(play.moves[0] == (i, j) for play in part)
                     parts += part
             assert parts == list(all_plays(n))
 
@@ -76,6 +84,32 @@ class TestEnumerateGames:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             next(enumerate_games(0))
+
+
+def _sorted_pairs(pairs):
+    return all(type(p) is tuple and len(p) == 2 and p[0] < p[1] for p in pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_every_arc_is_one_sorted_pair(n):
+    # moves, arc labels and ccw pairs have the form of tree edges and
+    # transpositions, and enumerate_games passes the walk's arcs on as they are
+    plays = list(enumerate_games(n))
+    assert [play.moves for play in plays] == [arcs for arcs, _ in game._walk_plays(n)]
+    for play in plays:
+        made = (
+            play,
+            PlaySequence.of(n, [(j, i) for i, j in play.moves]),
+            parking_to_game(game_to_parking(play)),
+            transpositions_to_game(game_to_transpositions(play)),
+        )
+        assert all(_sorted_pairs(p.moves) and p.moves == play.moves for p in made)
+        history = replay(play).history
+        assert _sorted_pairs(rec.arc_label for rec in history)
+        assert _sorted_pairs(rec.ccw_pair for rec in history)
+    for tree in all_trees(n):
+        made = [tree_to_canonical_game(tree), *games_with_endstate(tree)]
+        assert all(_sorted_pairs(p.moves) for p in made)
 
 
 class TestCountPlays:

@@ -68,13 +68,13 @@ class TestApplyMove:
     def test_split_order_3_ccw_pair(self):
         state = apply_move(new_game(3), 0, 1, 2)  # join 2 and 3
         assert shorts(state) == [(2,), (3, 1)]
-        assert state.history[-1].ccw_pair == frozenset({1, 2})
+        assert state.history[-1].ccw_pair == (1, 2)
 
     def test_wraparound_neighbor(self):
         for n in (3, 5, 8):
             state = apply_move(new_game(n), 0, 0, 1)  # join 1 and 2
             assert shorts(state) == [(1,), tuple(range(2, n + 1))]
-            assert state.history[-1].ccw_pair == frozenset({n, 1})
+            assert state.history[-1].ccw_pair == (1, n)
 
     def test_long_labels_record_ancestry(self):
         state = apply_move(new_game(4), 0, 0, 2)
@@ -130,7 +130,7 @@ class TestReplay:
 class TestEndstateSignature:
     def test_n3(self):
         state = replay(PlaySequence.of(3, [(1, 2), (2, 3)]))
-        assert endstate_signature(state) == {frozenset({1, 2}), frozenset({2, 3})}
+        assert endstate_signature(state) == {(1, 2), (2, 3)}
 
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
@@ -143,8 +143,7 @@ class TestEndstateSignature:
 
     def test_repeated_arc_in_history_rejected(self):
         # a hand-built complete state whose history draws arc 1-2 twice
-        arc = frozenset({1, 2})
-        record = MoveRecord(arc_label=arc, ccw_pair=frozenset({2, 3}), long_pair=(1, 2))
+        record = MoveRecord(arc_label=(1, 2), ccw_pair=(2, 3), long_pair=(1, 2))
         state = GameState(n=3, subgames=(((1, 1),), ((2, 2),), ((3, 3),)), history=(record,) * 2)
         assert state.is_complete()
         with pytest.raises(ValueError, match="distinct arc labels"):
@@ -170,9 +169,8 @@ def test_state_invariants_exhaustive(n):
         state = new_game(n)
         assert replay(PlaySequence(n, ())) == state
         seen_arcs = set()
-        for k, arc in enumerate(play.moves):
+        for k, (i, j) in enumerate(play.moves):
             loc = locate_labels(state)
-            i, j = sorted(arc)
             si, p = loc[i]
             sj, q = loc[j]
             assert si == sj

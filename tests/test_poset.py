@@ -17,7 +17,7 @@ from planted_sprouts import (
 from planted_sprouts.formats import poset_to_dot, poset_to_json
 from planted_sprouts.poset import EdgePoset
 
-from helpers import all_plays, all_trees, parking_functions, signature_of, tree_of
+from helpers import all_plays, all_trees, parking_functions, tree_of
 
 EIGHT_VERTEX_TREE = NoncrossingTree.from_edges(
     8, [(1, 8), (2, 8), (2, 4), (3, 4), (5, 8), (5, 6), (5, 7)]
@@ -159,7 +159,7 @@ class TestGamesWithEndstate:
         # same plays in the same order as enumerate_games filtered by signature
         by_signature = {}
         for play in all_plays(n):
-            by_signature.setdefault(signature_of(play), []).append(play)
+            by_signature.setdefault(frozenset(play.moves), []).append(play)
         for tree in all_trees(n):
             expected = by_signature.get(tree.edges, [])
             assert [p.moves for p in games_with_endstate(tree)] == [p.moves for p in expected]
@@ -168,10 +168,7 @@ class TestGamesWithEndstate:
     def test_extensions_equal_compatible_play_orders(self, n):
         for tree in all_trees(n):
             extensions = set(linear_extensions(build_poset(tree)))
-            orders = {
-                tuple(tuple(sorted(arc)) for arc in play.moves)
-                for play in games_with_endstate(tree)
-            }
+            orders = {play.moves for play in games_with_endstate(tree)}
             assert extensions == orders
 
     @settings(deadline=None, max_examples=60)
@@ -179,7 +176,7 @@ class TestGamesWithEndstate:
     def test_random_trees_plays_are_the_extensions(self, drawn):
         tree = tree_of(*drawn)
         plays = games_with_endstate(tree)
-        orders = [tuple(tuple(sorted(arc)) for arc in play.moves) for play in plays]
+        orders = [play.moves for play in plays]
         assert len(set(orders)) == len(orders)
         assert set(orders) == set(linear_extensions(build_poset(tree)))
         for play in plays:

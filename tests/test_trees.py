@@ -24,7 +24,7 @@ from planted_sprouts import (
 from planted_sprouts.formats import _from_json, edges_to_json
 from planted_sprouts.game import PlaySequence
 
-from helpers import all_plays, all_trees, parking_functions, pollak_shift, signature_of, tree_of
+from helpers import all_plays, all_trees, parking_functions, pollak_shift, tree_of
 
 # A completion of the worked eight-vertex example: the named edges are
 # {5,8}, {3,4}, {2,4}, {2,8}; the extra edges attach 1, 6, 7 without
@@ -125,7 +125,7 @@ class TestEndstateToTree:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_signature_is_noncrossing(self, n):
         for play in all_plays(n):
-            assert is_noncrossing_tree(n, signature_of(play))
+            assert is_noncrossing_tree(n, play.moves)
 
 
 class TestPrimaryEdges:
