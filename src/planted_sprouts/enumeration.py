@@ -36,11 +36,10 @@ from .trees import (
     tree_to_canonical_game,
 )
 
-def enumerate_games(n: int, first_arc=None):
+def enumerate_games(n: int):
     """Every complete legal play exactly once, depth-first, trying arcs in
-    lexicographic order at each stage.  Optionally restricted to plays whose
-    first move draws `first_arc` (for partitioned runs)."""
-    for arcs, _ in _walk_plays(n, first_arc):
+    lexicographic order at each stage."""
+    for arcs, _ in _walk_plays(n):
         yield PlaySequence(n, arcs)
 
 

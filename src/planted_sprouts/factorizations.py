@@ -79,16 +79,16 @@ def game_to_transpositions(play: PlaySequence) -> TranspositionSeq:
 def transpositions_to_game(seq: TranspositionSeq) -> PlaySequence:
     """Reconstruct the unique play: each transposition {i', j'} is produced by
     joining the arms immediately clockwise of labels i' and j' in the one
-    subgame containing both."""
+    subgame containing both.  They always share one: joining the arms after
+    them swaps the successor array by the transposition.  The in-order product
+    is the n-cycle, so the n-1 swaps take the array from the n-cycle to the
+    identity.  A swap changes the cycle count by one, so each splits a region.
+    """
     arms = _Arms(seq.n)
     moves = []
-    for index, (a, b) in enumerate(seq.transpositions):
-        if arms.region[a] != arms.region[b]:
-            raise ValueError(
-                f"transposition {a}:{b} at index {index} acts across different subgames"
-            )
+    for a, b in seq.transpositions:
         i, j = arms.nxt[a], arms.nxt[b]
-        arms.move(i, j)
+        arms.join(i, j)
         moves.append((i, j))
     return PlaySequence.of(seq.n, moves)
 

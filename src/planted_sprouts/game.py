@@ -63,19 +63,21 @@ class PlaySequence:
     n: int
     moves: tuple  # of (i, j) tuples with i < j
 
-    @classmethod
-    def of(cls, n: int, pairs) -> "PlaySequence":
-        moves = []
-        for pair in pairs:
+    def __post_init__(self):
+        n = self.n
+        for pair in self.moves:
             a, b = pair
-            if b < a:
-                a, b = b, a
             if not (isinstance(a, int) and isinstance(b, int)):
                 raise ValueError(f"move labels must be integers, got {pair!r}")
             if not 1 <= a < b <= n:
+                if b < a:
+                    raise ValueError(f"move {a}-{b} is not a sorted pair; PlaySequence.of sorts it")
                 raise ValueError(f"move {a}-{b} is not a pair of distinct labels in 1..{n}")
-            moves.append((a, b))
-        return cls(n=n, moves=tuple(moves))
+
+    @classmethod
+    def of(cls, n: int, pairs) -> "PlaySequence":
+        """The play of the given label pairs, each put in sorted order."""
+        return cls(n=n, moves=tuple([(b, a) if b < a else (a, b) for a, b in pairs]))
 
 
 def new_game(n: int) -> GameState:

@@ -18,6 +18,10 @@ the covers connect all n-1 edges: n-2 links on n-1 nodes make a tree.  A
 tree has no cycle, so the covers need no acyclicity check, no pair of them
 is implied by others (they are their own Hasse diagram), and the order is
 walked along them rather than stored as a transitive closure.
+
+The linear extensions are built level by level rather than searched: every
+order of k edges, in lexicographic order, is extended by each edge not yet
+placed whose lower covers all are.
 """
 
 from __future__ import annotations
@@ -63,32 +67,25 @@ def build_poset(tree: NoncrossingTree) -> EdgePoset:
 
 
 def linear_extensions(poset: EdgePoset):
-    """All total orders of the tree's edges extending the cover relation,
-    by backtracking; deterministic (lexicographic at each choice point)."""
+    """All total orders of the tree's edges extending the cover relation, in
+    lexicographic order, level by level.  Edge k of the sorted edges is bit
+    k and need[k] holds the bits of its lower covers, so it can come next
+    iff the placed bits, masked to bit k and need[k], are exactly need[k]."""
     edges = sorted(poset.tree.edges)
-    preds = {e: set() for e in edges}
+    index = {e: k for k, e in enumerate(edges)}
+    need = [0] * len(edges)
     for a, b in poset.covers:
-        preds[b].add(a)
-    out = []
-    used = set()
-    prefix = []
-
-    def rec():
-        if len(prefix) == len(edges):
-            out.append(tuple(prefix))
-            return
-        for e in edges:
-            if e in used or not preds[e] <= used:
-                continue
-            used.add(e)
-            prefix.append(e)
-            rec()
-            prefix.pop()
-            used.remove(e)
-
-    rec()
-    del rec  # rec's closure holds rec: break the cycle, which would keep `out` alive
-    return out
+        need[index[b]] |= 1 << index[a]
+    steps = [(e, 1 << k, need[k] | 1 << k, need[k]) for k, e in enumerate(edges)]
+    orders = [((), 0)]  # (order so far, bits of its edges)
+    for _ in edges:
+        orders = [
+            (order + (e,), placed | bit)
+            for order, placed in orders
+            for e, bit, mask, req in steps
+            if placed & mask == req
+        ]
+    return [order for order, _ in orders]
 
 
 def games_with_endstate(tree: NoncrossingTree):

@@ -28,12 +28,6 @@ def _normalize_edges(edges):
     return frozenset(out)
 
 
-def _crosses(e, f) -> bool:
-    a, b = e
-    c, d = f
-    return (a < c < b < d) or (c < a < d < b)
-
-
 def _ccw_neighbours(n, edges) -> list:
     """nb[v]: v's tree neighbours counterclockwise from v, i.e. in the order
     v-1, v-2, ..., 1, n, ..., v+1 (index 0 unused).  The only place that
@@ -95,7 +89,7 @@ class NoncrossingTree:
     edges: frozenset  # of (i, j) tuples with i < j
 
     def __post_init__(self):
-        if not is_noncrossing_tree(self.n, self.edges):
+        if not (is_noncrossing_tree(self.n, self.edges) and all(i < j for i, j in self.edges)):
             raise ValueError(
                 f"not a noncrossing tree on {self.n} vertices: {sorted(self.edges)}"
             )
@@ -199,32 +193,30 @@ def tree_to_canonical_game(tree: NoncrossingTree) -> PlaySequence:
 
 
 def enumerate_noncrossing_trees(n: int):
-    """All noncrossing trees on n vertices, by backtracking over chord sets
-    in lexicographic order.  Independent of the game engine."""
+    """All noncrossing trees on n vertices, in lexicographic order of their
+    sorted edge lists.  Independent of the game engine.
+
+    Built by interval size from the root decomposition: in a tree on lo..hi
+    whose vertex lo has largest neighbour k, an edge from past k into
+    lo+1..k-1 would cross (lo, k), and cutting (lo, k) parts lo..k into
+    lo..m and m+1..k.  So each tree is exactly one union of trees on lo..m,
+    m+1..k and k..hi plus the edge (lo, k).
+    """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    if n == 1:
-        return [NoncrossingTree(1, frozenset())]
-    all_edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-    # `extend` refers to itself, so only the cyclic garbage collector frees
-    # what it holds; yielding keeps the list of trees out of that cycle.
-    def extend(start, chosen, comp):
-        need = n - 1 - len(chosen)
-        if need == 0:
-            yield NoncrossingTree(n, frozenset(chosen))
-            return
-        for k in range(start, len(all_edges) - need + 1):
-            a, b = all_edges[k]
-            if comp[a] == comp[b]:
-                continue
-            if any(_crosses((a, b), e) for e in chosen):
-                continue
-            ca, cb = comp[a], comp[b]
-            merged = {v: (ca if c == cb else c) for v, c in comp.items()}
-            yield from extend(k + 1, chosen + [(a, b)], merged)
-
-    return list(extend(0, [], {v: v for v in range(1, n + 1)}))
+    trees = {(v, v): [()] for v in range(1, n + 1)}  # edge tuples of each interval
+    for size in range(1, n):
+        for lo in range(1, n - size + 1):
+            hi = lo + size
+            trees[lo, hi] = [
+                left + right + rest + ((lo, k),)
+                for k in range(lo + 1, hi + 1)
+                for m in range(lo, k)
+                for left in trees[lo, m]
+                for right in trees[m + 1, k]
+                for rest in trees[k, hi]
+            ]
+    return [NoncrossingTree(n, frozenset(t)) for t in sorted(trees[1, n], key=sorted)]
 
 
 def count_endstates(n: int) -> int:

@@ -57,10 +57,10 @@ class TestEnumerateGames:
             parts = []
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    part = list(enumerate_games(n, first_arc=(i, j)))
-                    assert part and all(play.moves[0] == (i, j) for play in part)
+                    part = [arcs for arcs, _ in game._walk_plays(n, (i, j))]
+                    assert part and all(arcs[0] == (i, j) for arcs in part)
                     parts += part
-            assert parts == list(all_plays(n))
+            assert parts == [play.moves for play in all_plays(n)]
 
     def test_walk_order_pinned(self):
         plays = list(game._walk_plays(6))

@@ -212,6 +212,19 @@ class TestSerialization:
         assert '"moves": [[1, 2], [2, 3]]' in text
         assert play_from_json(text) == play
 
+    def test_direct_construction_rejects_reversed_pairs(self):
+        with pytest.raises(ValueError, match="move 2-1 is not a sorted pair"):
+            PlaySequence(3, ((2, 1), (3, 2)))
+        assert PlaySequence.of(3, [(2, 1), (3, 2)]) == PlaySequence(3, ((1, 2), (2, 3)))
+
+    @pytest.mark.parametrize("moves", [((0, 2),), ((1, 1),), ((1, 4),), ((1.0, 2),)])
+    def test_direct_construction_checks_like_of(self, moves):
+        with pytest.raises(ValueError) as direct:
+            PlaySequence(3, moves)
+        with pytest.raises(ValueError) as of:
+            PlaySequence.of(3, moves)
+        assert str(direct.value) == str(of.value)
+
     def test_bad_text_rejected(self):
         with pytest.raises(ValueError):
             play_from_text("1-2,2-3")

@@ -1,5 +1,7 @@
 """Edge posets and their linear extensions vs. compatible play orders."""
 
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -127,6 +129,17 @@ class TestCoverTree:
                     assert poset.precedes(e, f) == ((e, f) in order)
 
 
+EXTENSION_DIGESTS = {
+    1: "dbcd7db8bb337a5d9d5fdbae797b37cb0ad5e15679bf9c5dae1ea1e66813cfe3",
+    2: "528f671875139d781b0b6cd773be80c8861cbf623bd39c61e068619b95659424",
+    3: "c139f7dba910b16a4c804fc2b5571df9c53d4358e81e317e4143650288f4f816",
+    4: "b7d5a22960ee1c6d4800166c6e652f020053ae8402a4a7dbe5e2dadaaf4836b5",
+    5: "f3763ca6a470940baa3c00af80bb35d65454da99299da8965a803b9cc5f70925",
+    6: "76465d56c1dfbfbc80acda24b6f6cd366ac1770a93e420a5bb13972a88ecfd96",
+    7: "900c7c98a26ef1257e99fcef804f51cfcc6f902c83a4d6973877b59e5207c7e6",
+}
+
+
 class TestLinearExtensions:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_antichain_has_factorial_extensions(self, k):
@@ -134,6 +147,14 @@ class TestLinearExtensions:
         tree = NoncrossingTree.from_edges(k + 1, [(i, i + 1) for i in range(1, k + 1)])
         antichain = EdgePoset(tree=tree, covers=frozenset())
         assert len(linear_extensions(antichain)) == math.factorial(k)
+        assert linear_extensions(antichain) == list(itertools.permutations(sorted(tree.edges)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_order_pinned(self, n):
+        # sha256 of every tree's extensions, in order, from the backtracking
+        # search this one replaced
+        extensions = repr([linear_extensions(build_poset(t)) for t in all_trees(n)])
+        assert hashlib.sha256(extensions.encode()).hexdigest() == EXTENSION_DIGESTS[n]
 
     def test_n3_trees_have_one_extension_each(self):
         counts = [len(linear_extensions(build_poset(t))) for t in all_trees(3)]

@@ -1,5 +1,6 @@
 """Noncrossing trees, primary edges, and the endstate correspondence."""
 
+import hashlib
 import json
 import math
 import random
@@ -105,6 +106,13 @@ class TestIsNoncrossingTree:
     def test_invalid_tree_constructor(self):
         with pytest.raises(ValueError):
             NoncrossingTree.from_edges(4, [(1, 3), (2, 4), (1, 2)])
+
+    def test_constructor_rejects_reversed_edges(self):
+        with pytest.raises(ValueError, match=r"\[\(2, 1\), \(3, 2\)\]"):
+            NoncrossingTree(3, frozenset({(2, 1), (3, 2)}))
+        tree = NoncrossingTree.from_edges(3, [(2, 1), (3, 2)])
+        assert tree.edges == {(1, 2), (2, 3)}
+        assert tree == NoncrossingTree(3, frozenset({(1, 2), (2, 3)}))
 
     @pytest.mark.parametrize("edges", [[(1, 2), (1, 2)], [(1, 2), (2, 1), (2, 3)]])
     def test_repeated_edge_rejected(self, edges):
@@ -215,6 +223,18 @@ class TestCanonicalRealization:
         assert endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree
 
 
+TREE_DIGESTS = {
+    1: "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    2: "581545a952c2dffa1a215c8e2c1087da7c8271ef52f26aaa11890d5000634ff5",
+    3: "2137ccba548fdfefec15e9ce709b25f8c56478c91ac68cdf281b7ae9bb05d198",
+    4: "a93e281e04292970357133f865a95431507d2a50226013e94517c0c136a0c885",
+    5: "a266bea64bd20560673aaff9688e3d5ae6ecb80e392f46194c531de811bcbb3b",
+    6: "61050c4b040deb438da2a3c80df2f00e0950aadf4b8344332a63300acb538223",
+    7: "94fafb8fab5d6811a655b6a35386b142e041929ef3a422f2bf2b3a4fdb61cb45",
+    8: "2b3e18899516e1736e7d31b67ced767cb79c52a49df350ebf5f37c5382ddaeea",
+}
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "n,expected", [(1, 1), (2, 1), (3, 3), (4, 12), (5, 55), (6, 273)]
@@ -226,6 +246,19 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_brute_force_filter(self, n):
         assert {t.edges for t in all_trees(n)} == brute_force_ncts(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_order_pinned(self, n):
+        # sha256 of the sorted edge lists, in order, from the backtracking
+        # search this enumerator replaced
+        edge_lists = repr([sorted(t.edges) for t in all_trees(n)])
+        assert hashlib.sha256(edge_lists.encode()).hexdigest() == TREE_DIGESTS[n]
+
+    def test_order_nine(self):
+        trees = enumerate_noncrossing_trees(9)
+        assert len({t.edges for t in trees}) == len(trees) == count_endstates(9)
+        keys = [sorted(t.edges) for t in trees]
+        assert keys == sorted(keys)
 
     def test_closed_form_n7(self):
         assert count_endstates(7) == math.comb(18, 6) // 13
