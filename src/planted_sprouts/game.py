@@ -108,7 +108,9 @@ class _Arms:
     a = prv[i] and b = prv[j]: the transposition (a b), which splits the
     cycle in two.  The ccw pair is read there only, and joining i and j again
     undoes the move.  region[x] is a region id, kept by `move` relabelling
-    the smaller side of each split: O(n log n) over a play.
+    the smaller side of each split: O(n log n) over a play.  Only `play`
+    reads it, for `replay` and for the errors of an illegal play; the
+    bijections read ccw pairs from `join` alone (see `_ccw_pairs`).
     """
 
     __slots__ = ("nxt", "prv", "region", "regions")
@@ -172,11 +174,27 @@ def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
 
 
 def _ccw_pairs(play: PlaySequence) -> tuple:
-    """The sorted ccw pair of every move of a complete legal play, made and
-    checked by `_Arms.play`."""
-    if len(play.moves) < play.n - 1:  # before any array of size n; a longer play fails at move n
+    """The sorted ccw pair of every move of a complete legal play.
+
+    The moves are made by `join` alone, with no region ids.  A join composes
+    nxt with the transposition (a b) of its ccw pair, and that changes the
+    cycle count by exactly one: it splits the cycle holding a and b if they
+    share one, and merges their two cycles otherwise (Dénes, Publ. Math.
+    Inst. Hungar. Acad. Sci. 4, 1959).  nxt starts as one cycle, so n-1 joins
+    end at the identity, n cycles, iff every join split a region, that is
+    iff every move joined two arms of one region.  Only when that test fails
+    is the play made again by `_Arms.play`, which raises IllegalMoveError at
+    the first bad move."""
+    n = play.n
+    if len(play.moves) < n - 1:  # before any array of size n; a longer play fails at move n
         raise ValueError("play is not complete")
-    return tuple([pair for _, pair in _Arms(play.n).play(play)])
+    arms = _Arms(n)
+    join = arms.join
+    pairs = [join(i, j) for i, j in play.moves]
+    if len(pairs) != n - 1 or arms.nxt[1:] != list(range(1, n + 1)):
+        for _ in _Arms(n).play(play):  # raises at the first move that merged two regions
+            pass
+    return tuple(pairs)
 
 
 def _walk_plays(n: int, first_arc=None):

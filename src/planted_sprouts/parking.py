@@ -9,23 +9,26 @@ and the map is invertible move by move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import le
+from itertools import accumulate, repeat
+from operator import ge
 
 from .game import PlaySequence, _Arms, _ccw_pairs
 
 
 def is_parking_function(n: int, values) -> bool:
-    """Length n-1, entries in 1..n-1, and sorted entries satisfy a'_k <= k."""
+    """Length n-1, integer entries in 1..n-1, and sorted entries satisfy
+    a'_k <= k, which holds iff for every k at least k entries are at most k:
+    read from the counts of the values, in O(n)."""
     values = tuple(values)
-    if len(values) != n - 1:
+    m = len(values)
+    if m != n - 1 or not all(map(isinstance, values, repeat(int))):
         return False
-    if not all(map(isinstance, values, repeat(int))):
-        return False
-    if values and min(values) < 1:
-        return False
-    # a'_k <= k for every k, which also bounds each entry by n-1
-    return all(map(le, sorted(values), range(1, len(values) + 1)))
+    count = [0] * (m + 1)
+    for v in values:
+        if not 0 < v <= m:
+            return False
+        count[v] += 1
+    return all(map(ge, accumulate(count), range(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -67,5 +70,5 @@ def parking_to_game(pf: ParkingFunction) -> PlaySequence:
             total += left[x] - 1
         j = nxt[x]
         arms.join(i, j)
-        moves.append((i, j))
-    return PlaySequence.of(pf.n, moves)
+        moves.append((i, j) if i < j else (j, i))
+    return PlaySequence(pf.n, tuple(moves))

@@ -26,11 +26,10 @@ placed whose lower covers all are.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .game import PlaySequence, _Arms
-from .trees import NoncrossingTree, _ccw_neighbours
+from .trees import NoncrossingTree, _tree_ccw
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ class EdgePoset:
 
 def build_poset(tree: NoncrossingTree) -> EdgePoset:
     covers = frozenset(
-        ((min(v, w), max(v, w)), (min(v, x), max(v, x)))
-        for v, vs in enumerate(_ccw_neighbours(tree.n, tree.edges))
+        ((v, w) if v < w else (w, v), (v, x) if v < x else (x, v))
+        for v, vs in enumerate(_tree_ccw(tree))
         for w, x in zip(vs, vs[1:])  # {v, w} swings ccw around v onto {v, x}
     )
     return EdgePoset(tree=tree, covers=covers)
@@ -92,28 +91,48 @@ def games_with_endstate(tree: NoncrossingTree):
     """All legal plays whose arc set is the tree's edges, by the game rules
     alone (no covers), depth first with unplayed arcs in lexicographic order.
     Moves only split regions, so a prefix that parts the ends of an unplayed
-    arc is pruned, and at any other prefix every unplayed arc is legal."""
-    arms, out = _Arms(tree.n), []
+    arc is pruned, and at any other prefix every unplayed arc is legal.
+
+    Arc k of the sorted edges is bit k of `unplayed`, and incident[v] holds
+    the bits of the arcs at v.  After joining x and y, an unplayed arc is cut
+    iff exactly one of its ends lies in x's new region, which is iff its bit
+    is set in the XOR of incident[] over that region.  An explicit stack of
+    played arcs replaces the recursion: undoing the last arc k resumes its
+    stage at arc k+1."""
+    n, edges = tree.n, sorted(tree.edges)
+    arms = _Arms(n)
     nxt, join = arms.nxt, arms.join
-    stamp, stamps = [0] * (tree.n + 1), itertools.count(1)
-
-    def rec(played, unplayed):
-        if not unplayed:
-            out.append(PlaySequence(tree.n, played))
-        for k, (x, y) in enumerate(unplayed):
-            rest = unplayed[:k] + unplayed[k + 1 :]
-            join(x, y)
-            fresh, z = next(stamps), x  # stamp x's region: a cut arc has one end in it
-            while stamp[z] != fresh:
-                stamp[z] = fresh
-                z = nxt[z]
-            for u, v in rest:
-                if (stamp[u] == fresh) != (stamp[v] == fresh):
-                    break
-            else:
-                rec(played + ((x, y),), rest)
-            join(x, y)
-
-    rec((), sorted(tree.edges))
-    del rec  # rec's closure holds rec: break the cycle, which would keep `out` alive
-    return out
+    incident = [0] * (n + 1)
+    for k, (x, y) in enumerate(edges):
+        incident[x] |= 1 << k
+        incident[y] |= 1 << k
+    out, path, played = [], [], []  # plays found, arcs played, their bits
+    unplayed, k = (1 << len(edges)) - 1, 0
+    if not unplayed:
+        return [PlaySequence(n, ())]
+    while True:
+        if unplayed >> k:  # an unplayed arc at k or above
+            if unplayed >> k & 1:
+                x, y = arc = edges[k]
+                join(x, y)
+                cut, z = incident[x], nxt[x]
+                while z != x:
+                    cut ^= incident[z]
+                    z = nxt[z]
+                rest = unplayed ^ 1 << k
+                if not cut & rest:
+                    if rest:
+                        path.append(arc)
+                        played.append(k)
+                        unplayed, k = rest, 0
+                        continue
+                    out.append(PlaySequence(n, (*path, arc)))
+                join(x, y)
+            k += 1
+        elif played:
+            k = played.pop()
+            join(*path.pop())
+            unplayed |= 1 << k
+            k += 1
+        else:
+            return out

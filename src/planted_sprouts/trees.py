@@ -43,6 +43,23 @@ def _ccw_neighbours(n, edges) -> list:
     return nb
 
 
+_last_ccw = (None, None)  # the last tree asked for and its ccw lists
+
+
+def _tree_ccw(tree) -> list:
+    """The tree's ccw lists (see `_ccw_neighbours`), shared by the tree maps:
+    a one-entry cache keyed on the tree object, so the maps called in turn on
+    one tree build the lists once.  Holding the tree keeps its id from being
+    reused, and the tree and its lists are rebound as one tuple, so a reader
+    never pairs one tree with another's lists.  No caller may mutate them."""
+    global _last_ccw
+    held, nb = _last_ccw
+    if held is not tree:
+        nb = _ccw_neighbours(tree.n, tree.edges)
+        _last_ccw = tree, nb
+    return nb
+
+
 def is_noncrossing_tree(n: int, edges) -> bool:
     """True iff the edges form a spanning tree of 1..n with no two chords
     interleaving cyclically."""
@@ -52,34 +69,36 @@ def is_noncrossing_tree(n: int, edges) -> bool:
         norm = _normalize_edges(edges)
     except (ValueError, TypeError):
         return False
-    if len(norm) != n - 1:
+    return _is_noncrossing_tree_of_pairs(n, norm)
+
+
+def _is_noncrossing_tree_of_pairs(n: int, pairs) -> bool:
+    """`is_noncrossing_tree` for n >= 1 on edges already in the form (i, j),
+    i < j: the sweep and the union-find read them as they are."""
+    if len(pairs) != n - 1:
         return False
-    if not all(1 <= i < j <= n for i, j in norm):
+    if not all(1 <= i < j <= n for i, j in pairs):
         return False
     # Sweep chords by left end, longest first, keeping the right ends of the
     # chords around the sweep point, innermost last: a chord crosses one of
     # them iff it ends past the innermost one still open.
     ends = []
-    for a, b in sorted(norm, key=lambda e: (e[0], -e[1])):
+    for a, b in sorted(pairs, key=lambda e: (e[0], -e[1])):
         while ends and ends[-1] <= a:
             ends.pop()
         if ends and ends[-1] < b:
             return False
         ends.append(b)
-    # connected + n-1 edges => tree
-    comp = {v: v for v in range(1, n + 1)}
-
-    def find(v):
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    for i, j in norm:
-        ri, rj = find(i), find(j)
-        if ri == rj:
+    # connected + n-1 edges => tree; a repeated pair closes a cycle
+    root = list(range(n + 1))  # union-find, halving paths
+    for i, j in pairs:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        if i == j:
             return False
-        comp[ri] = rj
+        root[i] = j
     return True
 
 
@@ -89,7 +108,11 @@ class NoncrossingTree:
     edges: frozenset  # of (i, j) tuples with i < j
 
     def __post_init__(self):
-        if not (is_noncrossing_tree(self.n, self.edges) and all(i < j for i, j in self.edges)):
+        try:
+            pairs = all(i < j for i, j in self.edges)
+        except (ValueError, TypeError):  # an edge that is no pair, or unordered labels
+            pairs = False
+        if not (self.n >= 1 and pairs and _is_noncrossing_tree_of_pairs(self.n, self.edges)):
             raise ValueError(
                 f"not a noncrossing tree on {self.n} vertices: {sorted(self.edges)}"
             )
@@ -111,7 +134,7 @@ def _primary(nb) -> list:
 
 
 def primary_edges(tree: NoncrossingTree) -> frozenset:
-    return frozenset(_primary(_ccw_neighbours(tree.n, tree.edges)))
+    return frozenset(_primary(_tree_ccw(tree)))
 
 
 def is_pivotable_clockwise(tree: NoncrossingTree, edge) -> bool:
@@ -121,7 +144,7 @@ def is_pivotable_clockwise(tree: NoncrossingTree, edge) -> bool:
     e = (min(edge), max(edge))
     if e not in tree.edges:
         raise ValueError(f"edge {e} is not in the tree")
-    nb = _ccw_neighbours(tree.n, tree.edges)
+    nb = _tree_ccw(tree)
     u, v = e
     return nb[u][0] != v or nb[v][0] != u
 
@@ -133,7 +156,7 @@ def find_primary_edge(tree: NoncrossingTree, start: int = 1):
         raise ValueError("a tree with fewer than 2 vertices has no edges")
     if not 1 <= start <= tree.n:
         raise ValueError(f"start vertex must be in 1..{tree.n}")
-    nb = _ccw_neighbours(tree.n, tree.edges)
+    nb = _tree_ccw(tree)
     v = start
     for _ in range(2 * (tree.n - 1)):
         w = nb[v][0]
@@ -161,7 +184,7 @@ def tree_to_canonical_game(tree: NoncrossingTree) -> PlaySequence:
     that is below i, and j otherwise.  No recursion: an explicit stack.
     """
     n = tree.n
-    nb = _ccw_neighbours(n, tree.edges)
+    nb = _tree_ccw(tree)
     first = [0] * (n + 1)  # nb[v][first[v]] is v's first unplayed neighbour
     moves = []
     stack = [(1, sorted(-v for v, _ in _primary(nb)))]  # (least label, keys)

@@ -1,5 +1,7 @@
 """Core state machine: moves, splitting, labels, replay, serialization."""
 
+import itertools
+
 import pytest
 
 from planted_sprouts import (
@@ -125,6 +127,27 @@ class TestReplay:
 
     def test_empty_play_order_1(self):
         assert replay(PlaySequence.of(1, [])).is_complete()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ccw_pairs_agree_with_replay(self, n, extra):
+        # every sequence of n-1 (extra 0) or n (extra 1) sorted pairs: the
+        # bijections read ccw pairs by the split test, replay by region ids
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for moves in itertools.product(pairs, repeat=n - 1 + extra):
+            play = PlaySequence(n, moves)
+            try:
+                expected = tuple(rec.ccw_pair for rec in replay(play).history)
+            except IllegalMoveError as err:
+                expected = (err.index, err.reason)
+            for fn, read in (
+                (game_to_parking, lambda pf: tuple(a for a, _ in expected) == pf.values),
+                (game_to_transpositions, lambda seq: expected == seq.transpositions),
+            ):
+                try:
+                    assert read(fn(play)), (fn.__name__, moves)
+                except IllegalMoveError as err:
+                    assert (err.index, err.reason) == expected, (fn.__name__, moves)
 
 
 class TestEndstateSignature:

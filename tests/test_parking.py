@@ -27,6 +27,17 @@ def brute_force_parking_functions(n):
     }
 
 
+def sorted_rule(n, values):
+    """The definition: n-1 integer entries, all at least 1, whose sorted
+    entries satisfy a'_k <= k."""
+    values = tuple(values)
+    if len(values) != n - 1 or not all(isinstance(v, int) for v in values):
+        return False
+    return all(v >= 1 for v in values) and all(
+        v <= k for k, v in enumerate(sorted(values), start=1)
+    )
+
+
 class TestIsParkingFunction:
     def test_sorted_prefix_holds(self):
         assert is_parking_function(3, (1, 2))
@@ -49,6 +60,37 @@ class TestIsParkingFunction:
     def test_invalid_constructor(self):
         with pytest.raises(ValueError):
             ParkingFunction(3, (2, 2))
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_counts_match_sorted_rule_on_every_tuple(self, n):
+        # every tuple over -1..n of length n-2, n-1 and n
+        for length in (n - 2, n - 1, n):
+            for values in itertools.product(range(-1, n + 1), repeat=max(length, 0)):
+                assert is_parking_function(n, values) == sorted_rule(n, values), values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (True,),
+            (True, True),
+            (True, 2),
+            (False, 1),
+            (1.0, 1),
+            (1, 1.5),
+            (float("nan"), 1),
+            ("1", 1),
+            ("a", "b"),
+            ((1,), 1),
+            ([1], 1),
+            (None, 1),
+            (1, 2**70),
+            (-(2**70), 1),
+        ],
+    )
+    def test_counts_match_sorted_rule_on_other_values(self, values):
+        for n in (len(values), len(values) + 1, len(values) + 2):
+            assert is_parking_function(n, values) == sorted_rule(n, values)
+            assert is_parking_function(n, iter(values)) == sorted_rule(n, values)
 
 
 class TestGeneratedImage:

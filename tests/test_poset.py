@@ -167,7 +167,21 @@ class TestLinearExtensions:
         assert total == expected
 
 
+# sha256 of every tree's plays, in order, from the recursive walk this one
+# replaced.  Each tree's plays are its linear extensions in the same order,
+# so up to n = 7 these are the extension digests.
+PLAY_DIGESTS = {
+    **EXTENSION_DIGESTS,
+    8: "5aab5c4e2a1d072ca302f6d76448fa82257cbdc95aeb9e68c50d973e61ae5797",
+}
+
+
 class TestGamesWithEndstate:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_order_pinned(self, n):
+        plays = repr([[p.moves for p in games_with_endstate(t)] for t in all_trees(n)])
+        assert hashlib.sha256(plays.encode()).hexdigest() == PLAY_DIGESTS[n]
+
     def test_order_2(self):
         plays = games_with_endstate(NoncrossingTree.from_edges(2, [(1, 2)]))
         assert len(plays) == 1

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from planted_sprouts import (
     NoncrossingTree,
+    build_poset,
     count_endstates,
     endstate_to_tree,
     enumerate_noncrossing_trees,
@@ -22,6 +23,7 @@ from planted_sprouts import (
     tree_to_canonical_game,
     tree_to_dot,
 )
+from planted_sprouts import poset, trees
 from planted_sprouts.formats import _from_json, edges_to_json
 from planted_sprouts.game import PlaySequence
 
@@ -119,6 +121,38 @@ class TestIsNoncrossingTree:
         assert not is_noncrossing_tree(3, edges)
         with pytest.raises(ValueError, match="repeated"):
             NoncrossingTree.from_edges(3, edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_constructor_verdict_on_every_edge_list(self, n):
+        # the constructor accepts exactly the noncrossing trees given as
+        # sorted pairs, on every list of n-2, n-1 or n ordered pairs
+        labels = range(1, n + 1)
+        pairs = [(i, j) for i in labels for j in labels if i != j]
+        for size in (n - 2, n - 1, n):
+            for edges in combinations(pairs, size) if size >= 0 else ():
+                expected = is_noncrossing_tree(n, edges) and all(i < j for i, j in edges)
+                try:
+                    NoncrossingTree(n, edges)
+                    accepted = True
+                except ValueError as err:
+                    assert str(err) == f"not a noncrossing tree on {n} vertices: {sorted(edges)}"
+                    accepted = False
+                assert accepted == expected, edges
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (3, [(1, 2), (1, 2)]),
+            (4, [(1, 2), (2, 3), (1, 2)]),
+            (3, [(1, 2, 3), (2, 3)]),
+            (3, [1, 2]),
+            (3, [(1, "2"), (2, 3)]),
+        ],
+    )
+    def test_constructor_rejects_repeats_and_non_pairs(self, n, edges):
+        assert not is_noncrossing_tree(n, edges)
+        with pytest.raises(ValueError, match="not a noncrossing tree"):
+            NoncrossingTree(n, edges)
 
 
 class TestEndstateToTree:
@@ -221,6 +255,71 @@ class TestCanonicalRealization:
         n, rng = 10**4, random.Random(3)
         tree = tree_of(n, pollak_shift(n, [rng.randrange(n) for _ in range(n - 1)]))
         assert endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree
+
+
+# The five tree maps that read the ccw lists.
+TREE_MAPS = (
+    lambda tree: tree_to_canonical_game(tree).moves,
+    primary_edges,
+    lambda tree: [is_pivotable_clockwise(tree, e) for e in sorted(tree.edges)],
+    lambda tree: [find_primary_edge(tree, v) for v in range(1, tree.n + 1)] if tree.n > 1 else [],
+    lambda tree: build_poset(tree).covers,
+)
+
+
+def tree_maps(tree):
+    return [read(tree) for read in TREE_MAPS]
+
+
+class TestCcwListCache:
+    """The tree maps share the ccw lists of the last tree asked for."""
+
+    @staticmethod
+    def uncached_maps(monkeypatch, tree_list):
+        # every map reads fresh lists from _ccw_neighbours, with no cache
+        def fresh(tree):
+            return trees._ccw_neighbours(tree.n, tree.edges)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trees, "_tree_ccw", fresh)
+            patch.setattr(poset, "_tree_ccw", fresh)
+            return [tree_maps(tree) for tree in tree_list]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_maps_match_fresh_lists(self, n, monkeypatch):
+        tree_list = all_trees(n)
+        expected = self.uncached_maps(monkeypatch, tree_list)
+        # all maps on one tree in turn, then each map alone, alternating
+        # between trees from both ends of the list
+        assert [tree_maps(tree) for tree in tree_list] == expected
+        ends = zip(range(len(tree_list)), reversed(range(len(tree_list))))
+        order = [k for pair in ends for k in pair]
+        for m, read in enumerate(TREE_MAPS):
+            for k in order:
+                assert read(tree_list[k]) == expected[k][m]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equal_trees_from_different_edge_orders(self, n, monkeypatch):
+        tree_list = all_trees(n)
+        expected = self.uncached_maps(monkeypatch, tree_list)
+        for k, tree in enumerate(tree_list):
+            edges = sorted(tree.edges)
+            twins = (
+                NoncrossingTree.from_edges(n, edges),
+                NoncrossingTree.from_edges(n, [(j, i) for i, j in reversed(edges)]),
+                NoncrossingTree(n, edges),  # a list: unhashable, still accepted
+                tree,
+            )
+            for twin in twins + twins[::-1]:
+                assert tree_maps(twin) == expected[k]
+
+    def test_cache_holds_one_tree(self):
+        a, b = all_trees(4)[:2]
+        primary_edges(a)
+        assert trees._last_ccw[0] is a
+        primary_edges(b)
+        assert trees._last_ccw[0] is b
+        assert trees._last_ccw[1] == trees._ccw_neighbours(4, b.edges)
 
 
 TREE_DIGESTS = {
