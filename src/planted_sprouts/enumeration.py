@@ -7,18 +7,19 @@ oracles and reports one pass/fail per check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from .factorizations import (
     TranspositionSeq,
+    _cycle_steps,
     compose_in_order,
     enumerate_factorizations,
-    prefix_cycle_counts,
     successor_cycle,
     transpositions_to_game,
 )
@@ -121,8 +122,14 @@ class CountReport:
 def _play_readers(n):
     """The play sets, as what one play adds to each, and the per-play tests,
     each of which must hold on every play.  Both read a play as its arcs,
-    its ccw pairs and its parking values."""
-    successor, counts = successor_cycle(n), list(range(1, n + 1))
+    its ccw pairs and its parking values.
+
+    `cycle_growth` is the split walk over the ccw pairs, with no
+    TranspositionSeq.  Its n-1 steps of +1 or -1 reach n cycles iff every
+    one splits.  Only the identity has n cycles, so then successor-cycle ∘
+    t_1 ∘ ... ∘ t_(n-1) is the identity, and the in-order product is the
+    successor cycle: the test implies the product condition."""
+    successor = successor_cycle(n)
 
     def parking_round_trip(arcs, ccw, values):
         back = parking_to_game(ParkingFunction(n, values))
@@ -133,15 +140,12 @@ def _play_readers(n):
 
     sets = {
         "signatures": lambda arcs, ccw, values: frozenset(arcs),
-        "parkings": lambda arcs, ccw, values: values,
         "factorizations": lambda arcs, ccw, values: ccw,
     }
     tests = {
         "parking_round_trip": parking_round_trip,
         "factorization_product": lambda arcs, ccw, values: compose_in_order(n, ccw) == successor,
-        "cycle_growth": lambda arcs, ccw, values: (
-            prefix_cycle_counts(TranspositionSeq(n, ccw)) == counts
-        ),
+        "cycle_growth": lambda arcs, ccw, values: -1 not in _cycle_steps(n, ccw),
         "transposition_round_trip": transposition_round_trip,
     }
     return sets, tests
@@ -149,18 +153,30 @@ def _play_readers(n):
 
 def _play_stats(n, first_arc, reads):
     """The play count, the play sets and the per-play test verdicts named in
-    `reads`, over the plays with a given first arc (or all plays)."""
+    `reads`, over the plays with a given first arc (or all plays).
+
+    The parking values are not kept as a set: a play's values v_1..v_(n-1)
+    are the number sum((v_k - 1) (n-1)^(n-1-k)) in base n-1, and `parkings`
+    is a flag array of (n-1)^(n-1) bytes with a 1 at each play's number."""
     gather, test = _play_readers(n)
     sets = {name: set() for name in gather if name in reads}
     holds = {name: True for name in test if name in reads}
     adds = [(sets[name].add, gather[name]) for name in sets]
     tests = [(name, test[name]) for name in holds]
-    want_values = "parkings" in reads or "parking_round_trip" in reads
+    want_values = "parking_round_trip" in reads
+    if "parkings" in reads:
+        sets["parkings"] = bytearray((n - 1) ** (n - 1))
+    flags, base = sets.get("parkings"), n - 1
     count, values = 0, None
     for arcs, ccw in _walk_plays(n, first_arc):
         count += 1
-        if want_values:  # built once, for the parking set and the round trip
+        if want_values:
             values = tuple([a for a, _ in ccw])
+        if flags is not None:
+            rank = 0
+            for a, _ in ccw:
+                rank = rank * base + a - 1
+            flags[rank] = 1
         for add, read in adds:
             add(read(arcs, ccw, values))
         for name, holds_on in tests:
@@ -173,18 +189,25 @@ def _play_stats(n, first_arc, reads):
 
 
 def _all_play_stats(n, reads, jobs):
-    """_play_stats over every play, split by first arc across `jobs` processes:
-    counts add, sets unite in place and verdicts must all hold."""
+    """_play_stats over every play, split by first arc across `jobs` processes
+    and merged in the order the parts finish, so no finished part waits in
+    memory: counts add, sets unite in place, flag arrays merge by OR through
+    their integer values, and verdicts must all hold."""
     if jobs < 2 or n < 2:
         return _play_stats(n, None, reads)
     first_arcs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     with ProcessPoolExecutor(max_workers=min(jobs, len(first_arcs))) as pool:
-        parts = pool.map(_play_stats, itertools.repeat(n), first_arcs, itertools.repeat(reads))
-        count, sets, holds = next(parts)
-        for part_count, part_sets, part_holds in parts:
+        parts = as_completed([pool.submit(_play_stats, n, arc, reads) for arc in first_arcs])
+        count, sets, holds = next(parts).result()
+        for part in parts:
+            part_count, part_sets, part_holds = part.result()
             count += part_count
             for name, found in part_sets.items():
-                sets[name] |= found
+                if name == "parkings":
+                    flags = int.from_bytes(sets[name], "big") | int.from_bytes(found, "big")
+                    sets[name] = flags.to_bytes(len(found), "big")
+                else:
+                    sets[name] |= found
             for name, ok in part_holds.items():
                 holds[name] = holds[name] and ok
     return count, sets, holds
@@ -210,18 +233,48 @@ def _sorted_parking_functions(n: int):
             yield rising
 
 
-def _parking_functions(n: int) -> set:
-    """Every parking function of length n-1, as the rearrangements of the
-    weakly increasing ones (Foata & Riordan, Aequationes Math. 10, 1974)."""
-    image = set()
+def _parking_flags(n: int) -> bytearray:
+    """Every parking function of length n-1, as a 1 at its number in base
+    n-1 (see `_play_stats`) in a flag array of (n-1)^(n-1) bytes.  They are
+    the rearrangements of the weakly increasing ones (Foata & Riordan,
+    Aequationes Math. 10, 1974).  The distinct rearrangements of a sorted
+    tuple are each distinct value v in front of those of the rest, so v adds
+    (v - 1) times its place value to the number of the rest."""
+    base = n - 1
+    flags = bytearray(base**base)
+
+    @functools.lru_cache(maxsize=None)
+    def numbers(values):  # of the rearrangements of a short sorted tuple
+        if not values:
+            return (0,)
+        place = base ** (len(values) - 1)
+        return tuple(
+            (v - 1) * place + rest
+            for k, v in enumerate(values)
+            if k == 0 or values[k - 1] != v
+            for rest in numbers(values[:k] + values[k + 1 :])
+        )
+
+    def mark(values, offset):
+        # only short tuples are cached: at n=9 the long ones would hold
+        # every parking function several times over
+        if len(values) <= 4:
+            for number in numbers(values):
+                flags[offset + number] = 1
+            return
+        place = base ** (len(values) - 1)
+        for k, v in enumerate(values):
+            if k == 0 or values[k - 1] != v:
+                mark(values[:k] + values[k + 1 :], offset + (v - 1) * place)
+
     for rising in _sorted_parking_functions(n):
-        image.update(itertools.permutations(rising))
-    return image
+        mark(rising, 0)
+    return flags
 
 
 def _parking_image(r, got) -> bool:
     """The plays' values are every parking function."""
-    return got["parkings"] == _parking_functions(r.n)
+    return got["parkings"] == _parking_flags(r.n)
 
 
 def _factorization_image(r, got) -> bool:
@@ -272,7 +325,7 @@ _CHECKS = {
     "parking_injective": (
         7,
         ("plays", "parkings"),
-        lambda r, got: len(got["parkings"]) == got["plays"],
+        lambda r, got: r.pf_image_size == got["plays"],
     ),
     "parking_image": (7, ("parkings",), _parking_image),
     "parking_round_trip": (7, ("parking_round_trip",), lambda r, got: got["parking_round_trip"]),
@@ -336,9 +389,10 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         report.plays_enumerated = count
     if "trees" in reads:
         got["trees"] = enumerate_noncrossing_trees(n)
-    report.endstates_distinct, report.pf_image_size, report.fact_image_size = (
-        len(got[name]) if name in got else None
-        for name in ("signatures", "parkings", "factorizations")
+    report.endstates_distinct, report.fact_image_size = (
+        len(got[name]) if name in got else None for name in ("signatures", "factorizations")
     )
+    if "parkings" in got:  # the number of set flags
+        report.pf_image_size = got["parkings"].count(1)
     report.checks = [(name, _CHECKS[name][2](report, got)) for name in run]
     return report

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, _Arms, _ccw_pairs
+from .game import PlaySequence, _ccw_pairs
 
 
 def successor_cycle(n: int) -> tuple:
@@ -32,20 +32,6 @@ def compose_in_order(n: int, transpositions) -> tuple:
         image[x], image[y] = b, a
         source[a], source[b] = y, x
     return tuple(image[1:])
-
-
-def cycle_count(perm: tuple) -> int:
-    seen = set()
-    count = 0
-    for start in range(1, len(perm) + 1):
-        if start in seen:
-            continue
-        count += 1
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = perm[x - 1]
-    return count
 
 
 @dataclass(frozen=True)
@@ -83,12 +69,13 @@ def transpositions_to_game(seq: TranspositionSeq) -> PlaySequence:
     them swaps the successor array by the transposition.  The in-order product
     is the n-cycle, so the n-1 swaps take the array from the n-cycle to the
     identity.  A swap changes the cycle count by one, so each splits a region.
+    Only the successors are read, so each join is the swap itself.
     """
-    arms = _Arms(seq.n)
+    nxt = [0, *range(2, seq.n + 1), 1]
     moves = []
     for a, b in seq.transpositions:
-        i, j = arms.nxt[a], arms.nxt[b]
-        arms.join(i, j)
+        i, j = nxt[a], nxt[b]
+        nxt[a], nxt[b] = j, i
         moves.append((i, j))
     return PlaySequence.of(seq.n, moves)
 
@@ -110,15 +97,28 @@ def enumerate_factorizations(n: int):
     return out
 
 
+def _cycle_steps(n: int, transpositions):
+    """The change, +1 or -1, in the cycle count of successor-cycle ∘ t_1 ∘
+    ... ∘ t_k at each k, for any pairs a < b of labels in 1..n.
+
+    Composing with (a b) splits the cycle holding a if b is on it, and
+    merges the cycles of a and b otherwise (Dénes, Publ. Math. Inst. Hungar.
+    Acad. Sci. 4, 1959).  So walk from a until b, or back to a, then swap.
+    """
+    perm = [0, *range(2, n + 1), 1]  # perm[x]: the image of x, from x -> x+1 (mod n)
+    for a, b in transpositions:
+        x = perm[a]
+        while x != a and x != b:
+            x = perm[x]
+        perm[a], perm[b] = perm[b], perm[a]  # perm = perm ∘ (a b)
+        yield 1 if x == b else -1
+
+
 def prefix_cycle_counts(seq: TranspositionSeq):
-    """Cycle counts of successor-cycle ∘ t_1 ∘ ... ∘ t_k for k = 0..n-1.
+    """Cycle counts of successor-cycle ∘ t_1 ∘ ... ∘ t_k for k = 0..n-1,
+    from its one cycle by the split walk of `_cycle_steps`.
 
     For a genuine factorization each step adds exactly one cycle, ending at
     the identity's n fixed points.
     """
-    perm = list(successor_cycle(seq.n))
-    counts = [cycle_count(perm)]
-    for a, b in seq.transpositions:
-        perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]  # perm = perm ∘ (a b)
-        counts.append(cycle_count(perm))
-    return counts
+    return list(itertools.accumulate(_cycle_steps(seq.n, seq.transpositions), initial=1))

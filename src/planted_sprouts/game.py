@@ -109,8 +109,8 @@ class _Arms:
     cycle in two.  The ccw pair is read there only, and joining i and j again
     undoes the move.  region[x] is a region id, kept by `move` relabelling
     the smaller side of each split: O(n log n) over a play.  Only `play`
-    reads it, for `replay` and for the errors of an illegal play; the
-    bijections read ccw pairs from `join` alone (see `_ccw_pairs`).
+    builds and reads it, for `replay` and for the errors of an illegal play;
+    the bijections read ccw pairs from `join` alone (see `_ccw_pairs`).
     """
 
     __slots__ = ("nxt", "prv", "region", "regions")
@@ -120,7 +120,6 @@ class _Arms:
             raise ValueError(f"game order must be positive, got {n}")
         self.nxt = [1] + list(range(2, n + 1)) + [1]
         self.prv = [n, n] + list(range(1, n))
-        self.region, self.regions = [0] * (n + 1), 1
 
     def join(self, i: int, j: int):
         """Join arms i and j of one region; return their ccw pair, sorted."""
@@ -156,8 +155,9 @@ class _Arms:
         """Make a play's moves, yielding each one's arc (i, j) and sorted ccw
         pair.  The one legality loop: raises IllegalMoveError with the index
         of the first bad move if an arc repeats or its two labels sit in
-        different subgames at its turn."""
-        region, move = self.region, self.move
+        different subgames at its turn.  The region ids start here, all 0."""
+        region = self.region = [0] * len(self.nxt)
+        self.regions, move = 1, self.move
         for index, (i, j) in enumerate(play.moves):
             if region[i] != region[j]:
                 raise _illegal(play, index)
@@ -258,12 +258,12 @@ def replay(play: PlaySequence) -> GameState:
     a new slot after it, and each side's head is its joined arm.
     """
     arms = _Arms(play.n)
-    region = arms.region
     long = list(range(play.n + 1))
     slot = [0]  # each region id's slot
     head, after = [1], [None]  # each slot's first arm and the slot after it
     history = []
     for (i, j), ccw in arms.play(play):
+        region = arms.region  # built by `play` when it starts
         s = slot[region[j] if region[i] == len(slot) else region[i]]
         h = head[s]
         first = i if h == i or (region[h] == region[j] and h != j) else j

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import ge
 
-from .game import PlaySequence, _Arms, _ccw_pairs
+from .game import PlaySequence, _ccw_pairs
 
 
 def is_parking_function(n: int, values) -> bool:
@@ -53,10 +53,10 @@ def parking_to_game(pf: ParkingFunction) -> PlaySequence:
     joins i = nxt[v] to j = nxt[x], where x is the first arm clockwise from
     i at which the running sum of left - 1 reaches -1: the arms i..x are the
     side the move cuts off, and their own values fill it like a parking
-    function.  For a parking function the walk never returns to v.
+    function.  For a parking function the walk never returns to v.  The
+    join's ccw neighbours are v and x, so it swaps their successors.
     """
-    arms = _Arms(pf.n)
-    nxt = arms.nxt
+    nxt = [0, *range(2, pf.n + 1), 1]
     left = [0] * (pf.n + 1)
     for v in pf.values:
         left[v] += 1
@@ -69,6 +69,6 @@ def parking_to_game(pf: ParkingFunction) -> PlaySequence:
             x = nxt[x]
             total += left[x] - 1
         j = nxt[x]
-        arms.join(i, j)
+        nxt[v], nxt[x] = j, i
         moves.append((i, j) if i < j else (j, i))
     return PlaySequence(pf.n, tuple(moves))

@@ -16,8 +16,8 @@ n-2 in all, and no two coincide because two tree edges share at most one
 vertex.  The pairs at v link every edge at v and the tree is connected, so
 the covers connect all n-1 edges: n-2 links on n-1 nodes make a tree.  A
 tree has no cycle, so the covers need no acyclicity check, no pair of them
-is implied by others (they are their own Hasse diagram), and the order is
-walked along them rather than stored as a transitive closure.
+is implied by others (they are their own Hasse diagram), and no transitive
+closure is stored.
 
 The linear extensions are built level by level rather than searched: every
 order of k edges, in lexicographic order, is extended by each edge not yet
@@ -36,20 +36,6 @@ from .trees import NoncrossingTree, _tree_ccw
 class EdgePoset:
     tree: NoncrossingTree
     covers: frozenset  # of (e, e') edge pairs, e before e'
-
-    def precedes(self, e, f) -> bool:
-        """True iff e comes strictly before f: a walk along covers from e
-        reaches f.  Each edge has at most two covers, so this is O(n)."""
-        successors = {}
-        for a, b in self.covers:
-            successors.setdefault(a, []).append(b)
-        reach, stack = set(), [tuple(e)]
-        while stack:
-            for g in successors.get(stack.pop(), ()):
-                if g not in reach:
-                    reach.add(g)
-                    stack.append(g)
-        return tuple(f) in reach
 
     def minimal_elements(self) -> frozenset:
         covered = {f for _, f in self.covers}

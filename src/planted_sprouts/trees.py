@@ -74,10 +74,11 @@ def is_noncrossing_tree(n: int, edges) -> bool:
 
 def _is_noncrossing_tree_of_pairs(n: int, pairs) -> bool:
     """`is_noncrossing_tree` for n >= 1 on edges already in the form (i, j),
-    i < j: the sweep and the union-find read them as they are."""
+    i < j: the sweep and the union-find read them as they are, once they are
+    known to be integer labels in 1..n."""
     if len(pairs) != n - 1:
         return False
-    if not all(1 <= i < j <= n for i, j in pairs):
+    if not all(isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n for i, j in pairs):
         return False
     # Sweep chords by left end, longest first, keeping the right ends of the
     # chords around the sweep point, innermost last: a chord crosses one of

@@ -4,6 +4,7 @@ Enumerations at a given order are reused by many tests; cache them once per
 session.
 """
 
+from concurrent.futures import Future
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -86,6 +87,22 @@ def locate_labels(state: GameState) -> dict:
     return loc
 
 
+def cycle_count(perm: tuple) -> int:
+    """The number of cycles of a permutation given as an image tuple,
+    perm[x-1] the image of x: the reference for the split walk."""
+    seen = set()
+    count = 0
+    for start in range(1, len(perm) + 1):
+        if start in seen:
+            continue
+        count += 1
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x - 1]
+    return count
+
+
 @st.composite
 def parking_functions(draw, max_n):
     """(n, values) with n in 1..max_n and values a uniform random parking
@@ -101,7 +118,8 @@ def tree_of(n, values):
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: maps in this process, in order."""
+    """Stands in for ProcessPoolExecutor: runs each call in this process, in
+    order, as it is submitted."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -112,5 +130,7 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future

@@ -200,6 +200,14 @@ class TestVerifyAll:
         assert parallel.endstates_distinct == serial.endstates_distinct
         assert dict(parallel.checks) == dict(serial.checks)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_parallel_flags_and_split_walk_match_serial(self, n):
+        # real worker processes: the flag arrays merge by OR across parts
+        checks = ["parking_injective", "parking_image", "cycle_growth"]
+        serial = verify_all(n, checks=checks)
+        assert serial.passed and serial.pf_image_size == serial.formula_b_n
+        assert verify_all(n, checks=checks, jobs=2).to_json() == serial.to_json()
+
     def test_report_serialization(self):
         report = verify_all(3)
         assert '"passed": true' in report.to_json()

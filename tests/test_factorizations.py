@@ -1,5 +1,7 @@
 """Play <-> cycle factorization bijection."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,10 +16,10 @@ from planted_sprouts import (
     successor_cycle,
     transpositions_to_game,
 )
-from planted_sprouts.factorizations import cycle_count, prefix_cycle_counts
+from planted_sprouts.factorizations import _cycle_steps, prefix_cycle_counts
 from planted_sprouts.formats import seq_from_text, seq_to_text
 
-from helpers import all_plays, parking_functions
+from helpers import all_plays, cycle_count, parking_functions
 
 
 class TestCompose:
@@ -120,6 +122,18 @@ class TestProperties:
         for play in all_plays(n):
             counts = prefix_cycle_counts(game_to_transpositions(play))
             assert counts == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_split_walk_counts_cycles(self, n):
+        # every sequence of up to 4 transpositions, merges included
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        for length in range(5):
+            for seq in itertools.product(pairs, repeat=length):
+                perm, counts = list(successor_cycle(n)), [1]
+                for a, b in seq:
+                    perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]
+                    counts.append(cycle_count(perm))
+                assert list(itertools.accumulate(_cycle_steps(n, seq), initial=1)) == counts
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_conjugation_closure(self, n):

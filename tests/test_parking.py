@@ -93,12 +93,36 @@ class TestIsParkingFunction:
             assert is_parking_function(n, iter(values)) == sorted_rule(n, values)
 
 
+def decode_flags(n, flags):
+    """The value tuples at the set flags: each flag's index as n-1 digits in
+    base n-1, most significant first, each plus 1."""
+    assert len(flags) == (n - 1) ** (n - 1)
+    out = set()
+    for number in (k for k, flag in enumerate(flags) if flag):
+        digits = []
+        for _ in range(n - 1):
+            number, digit = divmod(number, n - 1)
+            digits.append(digit + 1)
+        out.add(tuple(reversed(digits)))
+    return out
+
+
 class TestGeneratedImage:
-    """verify's parking image is generated; the filter above is its oracle."""
+    """verify's parking image is generated as flags; the filter above is its
+    oracle."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_filtered_candidates(self, n):
-        assert enumeration._parking_functions(n) == brute_force_parking_functions(n)
+        flags = enumeration._parking_flags(n)
+        assert set(flags) <= {0, 1}
+        assert decode_flags(n, flags) == brute_force_parking_functions(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_flags_are_the_plays_values(self, n):
+        _, sets, _ = enumeration._play_stats(n, None, {"parkings"})
+        assert decode_flags(n, sets["parkings"]) == {
+            game_to_parking(play).values for play in all_plays(n)
+        }
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_catalan_many_rising(self, n):

@@ -147,12 +147,20 @@ class TestIsNoncrossingTree:
             (3, [(1, 2, 3), (2, 3)]),
             (3, [1, 2]),
             (3, [(1, "2"), (2, 3)]),
+            (2, [("a", "b")]),
+            (2, [(1.0, 2.0)]),
+            (3, [(1, 2.5), (2, 3)]),
+            (3, [(1, 2), (2, 3.0)]),
         ],
     )
     def test_constructor_rejects_repeats_and_non_pairs(self, n, edges):
         assert not is_noncrossing_tree(n, edges)
         with pytest.raises(ValueError, match="not a noncrossing tree"):
             NoncrossingTree(n, edges)
+
+    def test_boolean_labels_are_integers(self):
+        assert is_noncrossing_tree(2, [(True, 2)])
+        assert NoncrossingTree(3, frozenset({(True, 2), (2, 3)})).edges == {(1, 2), (2, 3)}
 
 
 class TestEndstateToTree:
