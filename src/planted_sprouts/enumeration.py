@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 from .factorizations import (
     TranspositionSeq,
-    _cycle_steps,
     compose_in_order,
     enumerate_factorizations,
     successor_cycle,
     transpositions_to_game,
 )
-from .game import PlaySequence, _walk_plays, replay
+from .game import PlaySequence, _cycle_steps, _walk_plays, replay
 from .parking import ParkingFunction, game_to_parking, parking_to_game
 from .poset import build_poset, games_with_endstate, linear_extensions
 from .trees import (
@@ -124,11 +123,9 @@ def _play_readers(n):
     each of which must hold on every play.  Both read a play as its arcs,
     its ccw pairs and its parking values.
 
-    `cycle_growth` is the split walk over the ccw pairs, with no
-    TranspositionSeq.  Its n-1 steps of +1 or -1 reach n cycles iff every
-    one splits.  Only the identity has n cycles, so then successor-cycle ∘
-    t_1 ∘ ... ∘ t_(n-1) is the identity, and the in-order product is the
-    successor cycle: the test implies the product condition."""
+    `cycle_growth` is the split walk `game._cycle_steps` over the ccw pairs,
+    with no TranspositionSeq: every step splits iff the pairs factor the
+    successor cycle, so the test implies the product condition."""
     successor = successor_cycle(n)
 
     def parking_round_trip(arcs, ccw, values):
@@ -157,7 +154,8 @@ def _play_stats(n, first_arc, reads):
 
     The parking values are not kept as a set: a play's values v_1..v_(n-1)
     are the number sum((v_k - 1) (n-1)^(n-1-k)) in base n-1, and `parkings`
-    is a flag array of (n-1)^(n-1) bytes with a 1 at each play's number."""
+    is a flag array of (n-1)^(n-1) bits, eight to a byte, with bit r & 7 of
+    byte r >> 3 set for each play's number r."""
     gather, test = _play_readers(n)
     sets = {name: set() for name in gather if name in reads}
     holds = {name: True for name in test if name in reads}
@@ -165,7 +163,7 @@ def _play_stats(n, first_arc, reads):
     tests = [(name, test[name]) for name in holds]
     want_values = "parking_round_trip" in reads
     if "parkings" in reads:
-        sets["parkings"] = bytearray((n - 1) ** (n - 1))
+        sets["parkings"] = bytearray(((n - 1) ** (n - 1) + 7) >> 3)
     flags, base = sets.get("parkings"), n - 1
     count, values = 0, None
     for arcs, ccw in _walk_plays(n, first_arc):
@@ -176,7 +174,7 @@ def _play_stats(n, first_arc, reads):
             rank = 0
             for a, _ in ccw:
                 rank = rank * base + a - 1
-            flags[rank] = 1
+            flags[rank >> 3] |= 1 << (rank & 7)
         for add, read in adds:
             add(read(arcs, ccw, values))
         for name, holds_on in tests:
@@ -234,14 +232,14 @@ def _sorted_parking_functions(n: int):
 
 
 def _parking_flags(n: int) -> bytearray:
-    """Every parking function of length n-1, as a 1 at its number in base
-    n-1 (see `_play_stats`) in a flag array of (n-1)^(n-1) bytes.  They are
+    """Every parking function of length n-1, as a set bit at its number in
+    base n-1 in a flag array of (n-1)^(n-1) bits (see `_play_stats`).  They are
     the rearrangements of the weakly increasing ones (Foata & Riordan,
     Aequationes Math. 10, 1974).  The distinct rearrangements of a sorted
     tuple are each distinct value v in front of those of the rest, so v adds
     (v - 1) times its place value to the number of the rest."""
     base = n - 1
-    flags = bytearray(base**base)
+    flags = bytearray((base**base + 7) >> 3)
 
     @functools.lru_cache(maxsize=None)
     def numbers(values):  # of the rearrangements of a short sorted tuple
@@ -260,7 +258,8 @@ def _parking_flags(n: int) -> bytearray:
         # every parking function several times over
         if len(values) <= 4:
             for number in numbers(values):
-                flags[offset + number] = 1
+                rank = offset + number
+                flags[rank >> 3] |= 1 << (rank & 7)
             return
         place = base ** (len(values) - 1)
         for k, v in enumerate(values):
@@ -346,6 +345,8 @@ _CHECKS = {
         ("trees",),
         lambda r, got: r.n < 2 or all(map(_primary_coherent, got["trees"])),
     ),
+    # definitional: variant_counts multiplies the same two counts the report's
+    # formulas come from, so this check cannot fail
     "variant_formulas": (
         math.inf,
         (),
@@ -393,6 +394,6 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         len(got[name]) if name in got else None for name in ("signatures", "factorizations")
     )
     if "parkings" in got:  # the number of set flags
-        report.pf_image_size = got["parkings"].count(1)
+        report.pf_image_size = int.from_bytes(got["parkings"], "big").bit_count()
     report.checks = [(name, _CHECKS[name][2](report, got)) for name in run]
     return report

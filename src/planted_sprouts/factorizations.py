@@ -42,14 +42,21 @@ class TranspositionSeq:
     transpositions: tuple  # ordered; each entry (a, b) with a < b
 
     def __post_init__(self):
-        for a, b in self.transpositions:
+        seq = self.transpositions
+        canonical = type(seq) is tuple
+        if not canonical:
+            seq = tuple(seq)  # a list or a generator, read once
+        for pair in seq:
+            a, b = pair
             if not (1 <= a < b <= self.n):
                 raise ValueError(f"transposition ({a},{b}) is not a pair of labels in 1..{self.n}")
-        if len(self.transpositions) != self.n - 1:
-            raise ValueError(
-                f"expected {self.n - 1} transpositions, got {len(self.transpositions)}"
-            )
-        if compose_in_order(self.n, self.transpositions) != successor_cycle(self.n):
+            canonical = canonical and type(pair) is tuple
+        if not canonical:  # stored as tuple pairs, so equal sequences compare and hash alike
+            seq = tuple([(a, b) for a, b in seq])
+            object.__setattr__(self, "transpositions", seq)
+        if len(seq) != self.n - 1:
+            raise ValueError(f"expected {self.n - 1} transpositions, got {len(seq)}")
+        if compose_in_order(self.n, seq) != successor_cycle(self.n):
             raise ValueError("in-order product is not the successor cycle")
 
     @classmethod
@@ -65,11 +72,10 @@ def game_to_transpositions(play: PlaySequence) -> TranspositionSeq:
 def transpositions_to_game(seq: TranspositionSeq) -> PlaySequence:
     """Reconstruct the unique play: each transposition {i', j'} is produced by
     joining the arms immediately clockwise of labels i' and j' in the one
-    subgame containing both.  They always share one: joining the arms after
-    them swaps the successor array by the transposition.  The in-order product
-    is the n-cycle, so the n-1 swaps take the array from the n-cycle to the
-    identity.  A swap changes the cycle count by one, so each splits a region.
-    Only the successors are read, so each join is the swap itself.
+    subgame containing both.  Joining the arms after them swaps the successor
+    array by the transposition, and the in-order product is the n-cycle, so
+    every swap splits a region (see `game._cycle_steps`).  Only the successors
+    are read, so each join is the swap itself.
     """
     nxt = [0, *range(2, seq.n + 1), 1]
     moves = []
@@ -96,29 +102,3 @@ def enumerate_factorizations(n: int):
             out.append(TranspositionSeq(n, combo))
     return out
 
-
-def _cycle_steps(n: int, transpositions):
-    """The change, +1 or -1, in the cycle count of successor-cycle ∘ t_1 ∘
-    ... ∘ t_k at each k, for any pairs a < b of labels in 1..n.
-
-    Composing with (a b) splits the cycle holding a if b is on it, and
-    merges the cycles of a and b otherwise (Dénes, Publ. Math. Inst. Hungar.
-    Acad. Sci. 4, 1959).  So walk from a until b, or back to a, then swap.
-    """
-    perm = [0, *range(2, n + 1), 1]  # perm[x]: the image of x, from x -> x+1 (mod n)
-    for a, b in transpositions:
-        x = perm[a]
-        while x != a and x != b:
-            x = perm[x]
-        perm[a], perm[b] = perm[b], perm[a]  # perm = perm ∘ (a b)
-        yield 1 if x == b else -1
-
-
-def prefix_cycle_counts(seq: TranspositionSeq):
-    """Cycle counts of successor-cycle ∘ t_1 ∘ ... ∘ t_k for k = 0..n-1,
-    from its one cycle by the split walk of `_cycle_steps`.
-
-    For a genuine factorization each step adds exactly one cycle, ending at
-    the identity's n fixed points.
-    """
-    return list(itertools.accumulate(_cycle_steps(seq.n, seq.transpositions), initial=1))

@@ -64,8 +64,11 @@ class PlaySequence:
     moves: tuple  # of (i, j) tuples with i < j
 
     def __post_init__(self):
-        n = self.n
-        for pair in self.moves:
+        n, moves = self.n, self.moves
+        canonical = type(moves) is tuple
+        if not canonical:
+            moves = tuple(moves)  # a list or a generator, read once
+        for pair in moves:
             a, b = pair
             if not (isinstance(a, int) and isinstance(b, int)):
                 raise ValueError(f"move labels must be integers, got {pair!r}")
@@ -73,6 +76,9 @@ class PlaySequence:
                 if b < a:
                     raise ValueError(f"move {a}-{b} is not a sorted pair; PlaySequence.of sorts it")
                 raise ValueError(f"move {a}-{b} is not a pair of distinct labels in 1..{n}")
+            canonical = canonical and type(pair) is tuple
+        if not canonical:  # stored as tuple pairs, so equal plays compare and hash alike
+            object.__setattr__(self, "moves", tuple([(a, b) for a, b in moves]))
 
     @classmethod
     def of(cls, n: int, pairs) -> "PlaySequence":
@@ -105,15 +111,13 @@ class _Arms:
     nxt[x] is the arm clockwise after x in its region and prv[x] the one
     before, so each region is a cycle of nxt, starting from k -> k+1 (mod n).
     Joining arms i and j swaps the successors of their ccw neighbours
-    a = prv[i] and b = prv[j]: the transposition (a b), which splits the
-    cycle in two.  The ccw pair is read there only, and joining i and j again
-    undoes the move.  region[x] is a region id, kept by `move` relabelling
-    the smaller side of each split: O(n log n) over a play.  Only `play`
-    builds and reads it, for `replay` and for the errors of an illegal play;
-    the bijections read ccw pairs from `join` alone (see `_ccw_pairs`).
+    a = prv[i] and b = prv[j]: nxt is composed with the transposition (a b),
+    which splits the cycle in two when i and j share a region (see
+    `_cycle_steps`).  The ccw pair is read there only, and joining i and j
+    again undoes the move.  Region ids are kept by `replay` alone.
     """
 
-    __slots__ = ("nxt", "prv", "region", "regions")
+    __slots__ = ("nxt", "prv")
 
     def __init__(self, n: int):
         if n < 1:
@@ -129,39 +133,28 @@ class _Arms:
         prv[i], prv[j] = b, a
         return (a, b) if a < b else (b, a)
 
-    def move(self, i: int, j: int):
-        """`join`, then give the smaller new region the next region id."""
-        pair, nxt = self.join(i, j), self.nxt
-        x, y = nxt[i], nxt[j]
-        while x != i and y != j:
-            x, y = nxt[x], nxt[y]
-        start = i if x == i else j
-        region, new = self.region, self.regions
-        region[start], x = new, nxt[start]
-        while x != start:
-            region[x], x = new, nxt[x]
-        self.regions = new + 1
-        return pair
 
-    def cycle(self, x: int) -> list:
-        """The arms of x's region, clockwise from x."""
-        out, y = [x], self.nxt[x]
-        while y != x:
-            out.append(y)
-            y = self.nxt[y]
-        return out
+def _cycle_steps(n: int, transpositions):
+    """The change, +1 or -1, in the cycle count of successor-cycle ∘ t_1 ∘
+    ... ∘ t_k at each k, for any pairs a < b of labels in 1..n: the one
+    split walk.
 
-    def play(self, play: PlaySequence):
-        """Make a play's moves, yielding each one's arc (i, j) and sorted ccw
-        pair.  The one legality loop: raises IllegalMoveError with the index
-        of the first bad move if an arc repeats or its two labels sit in
-        different subgames at its turn.  The region ids start here, all 0."""
-        region = self.region = [0] * len(self.nxt)
-        self.regions, move = 1, self.move
-        for index, (i, j) in enumerate(play.moves):
-            if region[i] != region[j]:
-                raise _illegal(play, index)
-            yield (i, j), move(i, j)
+    Composing with (a b) changes the cycle count by exactly one: it splits
+    the cycle holding a if b is on it, and merges the cycles of a and b
+    otherwise (Dénes, Publ. Math. Inst. Hungar. Acad. Sci. 4, 1959).  So
+    walk from a until b, or back to a, then swap.  A join is this swap by
+    its ccw pair, so a move is legal iff its step is +1.  The successor
+    cycle is one cycle and only the identity has n, so n-1 steps are all +1
+    iff the product is the identity: iff every move of the play split a
+    region, and iff the pairs, in order, factor the successor cycle.
+    """
+    perm = [0, *range(2, n + 1), 1]  # perm[x]: the image of x, from x -> x+1 (mod n)
+    for a, b in transpositions:
+        x = perm[a]
+        while x != a and x != b:
+            x = perm[x]
+        perm[a], perm[b] = perm[b], perm[a]  # perm = perm ∘ (a b)
+        yield 1 if x == b else -1
 
 
 def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
@@ -174,17 +167,10 @@ def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
 
 
 def _ccw_pairs(play: PlaySequence) -> tuple:
-    """The sorted ccw pair of every move of a complete legal play.
-
-    The moves are made by `join` alone, with no region ids.  A join composes
-    nxt with the transposition (a b) of its ccw pair, and that changes the
-    cycle count by exactly one: it splits the cycle holding a and b if they
-    share one, and merges their two cycles otherwise (Dénes, Publ. Math.
-    Inst. Hungar. Acad. Sci. 4, 1959).  nxt starts as one cycle, so n-1 joins
-    end at the identity, n cycles, iff every join split a region, that is
-    iff every move joined two arms of one region.  Only when that test fails
-    is the play made again by `_Arms.play`, which raises IllegalMoveError at
-    the first bad move."""
+    """The sorted ccw pair of every move of a complete legal play, made by
+    `join` alone, with no region ids.  n-1 joins end at the identity iff
+    every one split a region (see `_cycle_steps`); otherwise the first join
+    that merged two regions is the first illegal move."""
     n = play.n
     if len(play.moves) < n - 1:  # before any array of size n; a longer play fails at move n
         raise ValueError("play is not complete")
@@ -192,8 +178,7 @@ def _ccw_pairs(play: PlaySequence) -> tuple:
     join = arms.join
     pairs = [join(i, j) for i, j in play.moves]
     if len(pairs) != n - 1 or arms.nxt[1:] != list(range(1, n + 1)):
-        for _ in _Arms(n).play(play):  # raises at the first move that merged two regions
-            pass
+        raise _illegal(play, [*_cycle_steps(n, pairs)].index(-1))
     return tuple(pairs)
 
 
@@ -250,21 +235,35 @@ def _walk_plays(n: int, first_arc=None):
 
 def replay(play: PlaySequence) -> GameState:
     """Replay a play from the initial state; raises IllegalMoveError at the
-    first bad move (see `_Arms.play`).
+    first move whose labels lie in different regions.
 
-    The moves run on `_Arms` and the state is built once, at the end.  Of a
+    The moves run on `_Arms` and the state is built once, at the end.
+    region[x] is a region id, and a split gives its smaller side the next
+    id, found by walking both sides at once: O(n log n) over a play.  Of a
     split region, the side whose joined arm comes first from the region's
     head keeps the region's slot in the subgame order, the other side takes
     a new slot after it, and each side's head is its joined arm.
     """
     arms = _Arms(play.n)
+    nxt, join = arms.nxt, arms.join
+    region = [0] * (play.n + 1)
     long = list(range(play.n + 1))
     slot = [0]  # each region id's slot
     head, after = [1], [None]  # each slot's first arm and the slot after it
     history = []
-    for (i, j), ccw in arms.play(play):
-        region = arms.region  # built by `play` when it starts
-        s = slot[region[j] if region[i] == len(slot) else region[i]]
+    for index, (i, j) in enumerate(play.moves):
+        if region[i] != region[j]:
+            raise _illegal(play, index)
+        ccw = join(i, j)
+        x, y = nxt[i], nxt[j]
+        while x != i and y != j:
+            x, y = nxt[x], nxt[y]
+        start = i if x == i else j
+        new = region[start] = len(slot)
+        x = nxt[start]
+        while x != start:
+            region[x], x = new, nxt[x]
+        s = slot[region[j] if region[i] == new else region[i]]
         h = head[s]
         first = i if h == i or (region[h] == region[j] and h != j) else j
         second = i + j - first
@@ -278,7 +277,12 @@ def replay(play: PlaySequence) -> GameState:
         head[s], after[s] = first, len(head) - 1
     subgames, s = [], 0
     while s is not None:
-        subgames.append(tuple((x, long[x]) for x in arms.cycle(head[s])))
+        x = head[s]
+        subgame = [(x, long[x])]
+        while nxt[x] != head[s]:
+            x = nxt[x]
+            subgame.append((x, long[x]))
+        subgames.append(tuple(subgame))
         s = after[s]
     return GameState(n=play.n, subgames=tuple(subgames), history=tuple(history))
 

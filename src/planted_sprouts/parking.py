@@ -37,8 +37,13 @@ class ParkingFunction:
     values: tuple
 
     def __post_init__(self):
-        if not is_parking_function(self.n, self.values):
+        values = self.values
+        if type(values) is not tuple:
+            values = tuple(values)  # a list or a generator, read once
+        if not is_parking_function(self.n, values):
             raise ValueError(f"not a parking function of length {self.n - 1}: {self.values}")
+        if values is not self.values:  # a tuple, so equal functions compare and hash alike
+            object.__setattr__(self, "values", values)
 
 
 def game_to_parking(play: PlaySequence) -> ParkingFunction:

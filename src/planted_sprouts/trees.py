@@ -109,14 +109,22 @@ class NoncrossingTree:
     edges: frozenset  # of (i, j) tuples with i < j
 
     def __post_init__(self):
+        edges = self.edges
+        canonical = type(edges) is frozenset
         try:
-            pairs = all(i < j for i, j in self.edges)
+            if not canonical:
+                edges = tuple(edges)  # a list or a generator, read once
+            pairs = True
+            for edge in edges:
+                i, j = edge
+                pairs = pairs and i < j
+                canonical = canonical and type(edge) is tuple
         except (ValueError, TypeError):  # an edge that is no pair, or unordered labels
             pairs = False
-        if not (self.n >= 1 and pairs and _is_noncrossing_tree_of_pairs(self.n, self.edges)):
-            raise ValueError(
-                f"not a noncrossing tree on {self.n} vertices: {sorted(self.edges)}"
-            )
+        if not (self.n >= 1 and pairs and _is_noncrossing_tree_of_pairs(self.n, edges)):
+            raise ValueError(f"not a noncrossing tree on {self.n} vertices: {sorted(edges)}")
+        if not canonical:  # stored as a frozenset of tuples, so equal trees compare and hash alike
+            object.__setattr__(self, "edges", frozenset([(i, j) for i, j in edges]))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "NoncrossingTree":

@@ -1,6 +1,7 @@
 """Enumerators, counting formulas, and the verification harness."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -222,11 +223,15 @@ class TestVerifyAll:
         [
             ("parking_to_game", "parking_round_trip"),
             ("transpositions_to_game", "factorization_image"),
+            ("_cycle_steps", "cycle_growth"),
+            ("compose_in_order", "factorization_product"),
         ],
     )
     def test_wrong_map_fails_only_its_check(self, monkeypatch, capsys, name, check):
-        # wrong on the last play enumerated only, which with jobs is in the last part
+        # wrong on the last play enumerated only, which with jobs is in the last part;
+        # every check runs at n=5, the four named here among them
         right, last = getattr(enumeration, name), list(enumerate_games(5))[-1]
+        last_ccw = game_to_transpositions(last).transpositions
 
         def wrong(obj):
             play = right(obj)
@@ -238,8 +243,17 @@ class TestVerifyAll:
                 raise ValueError("not in the image")
             return play
 
+        def merges(n, ccw):  # the split walk's last step is a merge
+            steps = tuple(right(n, ccw))
+            return (*steps[:-1], -1) if ccw == last_ccw else steps
+
+        def misplaces(n, ccw):  # the product is not the successor cycle
+            product = right(n, ccw)
+            return product[::-1] if ccw == last_ccw else product
+
+        fakes = {"_cycle_steps": (merges,), "compose_in_order": (misplaces,)}
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
-        for fake, jobs in ((wrong, 1), (wrong, 2), (rejects, 1), (rejects, 2)):
+        for fake, jobs in itertools.product(fakes.get(name, (wrong, rejects)), (1, 2)):
             monkeypatch.setattr(enumeration, name, fake)
             report = verify_all(5, jobs=jobs)
             verdicts = dict(report.checks)

@@ -16,7 +16,7 @@ from planted_sprouts import (
     successor_cycle,
     transpositions_to_game,
 )
-from planted_sprouts.factorizations import _cycle_steps, prefix_cycle_counts
+from planted_sprouts.game import _cycle_steps
 from planted_sprouts.formats import seq_from_text, seq_to_text
 
 from helpers import all_plays, cycle_count, parking_functions
@@ -120,7 +120,8 @@ class TestProperties:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_each_prefix_adds_one_cycle(self, n):
         for play in all_plays(n):
-            counts = prefix_cycle_counts(game_to_transpositions(play))
+            seq = game_to_transpositions(play).transpositions
+            counts = list(itertools.accumulate(_cycle_steps(n, seq), initial=1))
             assert counts == list(range(1, n + 1))
 
     @pytest.mark.parametrize("n", range(1, 7))

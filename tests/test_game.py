@@ -8,17 +8,24 @@ from planted_sprouts import (
     GameState,
     IllegalMoveError,
     MoveRecord,
+    NoncrossingTree,
+    ParkingFunction,
     PlaySequence,
+    TranspositionSeq,
     endstate_signature,
+    endstate_to_tree,
     game_to_parking,
     game_to_transpositions,
     legal_moves,
     new_game,
+    parking_to_game,
     play_from_json,
     play_from_text,
     play_to_json,
     play_to_text,
     replay,
+    transpositions_to_game,
+    tree_to_canonical_game,
 )
 from helpers import all_plays, apply_move, locate_labels
 
@@ -116,6 +123,9 @@ class TestReplay:
             (4, [(1, 3), (1, 3), (2, 3)], 1, "arc 1-3 repeats an earlier arc"),
             (5, [(1, 3), (3, 5), (1, 2), (3, 1)], 3, "arc 1-3 repeats an earlier arc"),
             (5, [(1, 3), (3, 5), (1, 2), (4, 5)], 3, "labels 4 and 5 lie in different subgames"),
+            # longer than any play: the first illegal move, not the last
+            (3, [(1, 2), (1, 3), (2, 3), (1, 2)], 1, "labels 1 and 3 lie in different subgames"),
+            (3, [(1, 2), (2, 3), (1, 3), (1, 2), (2, 3)], 2, "labels 1 and 3 lie in different subgames"),
         ],
     )
     def test_every_map_rejects_alike(self, n, pairs, index, reason):
@@ -253,3 +263,49 @@ class TestSerialization:
             play_from_text("1-2,2-3")
         with pytest.raises(ValueError):
             play_from_text("n=3: 1/2")
+
+
+class TestCanonicalForm:
+    """Each value type stores one form, whatever iterable it was given, so
+    equal values compare equal, hash alike and survive the round trips."""
+
+    CASES = [
+        (PlaySequence, 3, ((1, 2), (2, 3))),
+        (NoncrossingTree, 3, frozenset({(1, 2), (2, 3)})),
+        (ParkingFunction, 3, (1, 1)),
+        (TranspositionSeq, 3, ((1, 3), (2, 3))),
+    ]
+
+    @pytest.mark.parametrize("kind,n,canonical", CASES)
+    def test_any_iterable_stores_the_canonical_form(self, kind, n, canonical):
+        expected = kind(n, canonical)
+        items = sorted(canonical)
+        nested = [list(x) for x in items] if isinstance(items[0], tuple) else items
+        for given in (items, nested, tuple(nested), iter(items), (x for x in nested)):
+            value = kind(n, given)
+            assert value == expected and hash(value) == hash(expected)
+            assert {value: 0} == {expected: 0}
+
+    def test_round_trips_of_list_built_values(self):
+        tree = NoncrossingTree(3, [(1, 2), (2, 3)])
+        assert endstate_to_tree(replay(tree_to_canonical_game(tree))) == tree
+        pf = ParkingFunction(3, [1, 1])
+        assert game_to_parking(parking_to_game(pf)) == pf
+        seq = TranspositionSeq(3, [(1, 3), (2, 3)])
+        assert game_to_transpositions(transpositions_to_game(seq)) == seq
+        play = PlaySequence(3, [(1, 3), (1, 2)])
+        assert transpositions_to_game(game_to_transpositions(play)) == play
+
+    @pytest.mark.parametrize("kind,n,canonical", [c for c in CASES if c[0] != ParkingFunction])
+    def test_reversed_pairs_still_rejected(self, kind, n, canonical):
+        for given in ([(b, a) for a, b in sorted(canonical)], [[b, a] for a, b in canonical]):
+            with pytest.raises(ValueError):
+                kind(n, given)
+
+    def test_bad_input_messages_name_what_was_given(self):
+        with pytest.raises(ValueError, match=r"got \[1, 'x'\]"):
+            PlaySequence(3, [[1, "x"]])
+        with pytest.raises(ValueError, match=r": \[1, 1, 5\]"):
+            ParkingFunction(4, [1, 1, 5])
+        with pytest.raises(ValueError, match=r"\[\(1, 2\), \(1, 2\)\]"):
+            NoncrossingTree(3, [(1, 2), (1, 2)])

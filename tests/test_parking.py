@@ -94,11 +94,12 @@ class TestIsParkingFunction:
 
 
 def decode_flags(n, flags):
-    """The value tuples at the set flags: each flag's index as n-1 digits in
-    base n-1, most significant first, each plus 1."""
-    assert len(flags) == (n - 1) ** (n - 1)
+    """The value tuples at the set flags: flag k is bit k & 7 of byte k >> 3,
+    read as n-1 digits in base n-1, most significant first, each plus 1."""
+    size = (n - 1) ** (n - 1)
+    assert len(flags) == (size + 7) >> 3
     out = set()
-    for number in (k for k, flag in enumerate(flags) if flag):
+    for number in (k for k in range(size) if flags[k >> 3] >> (k & 7) & 1):
         digits = []
         for _ in range(n - 1):
             number, digit = divmod(number, n - 1)
@@ -114,7 +115,7 @@ class TestGeneratedImage:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_filtered_candidates(self, n):
         flags = enumeration._parking_flags(n)
-        assert set(flags) <= {0, 1}
+        assert not int.from_bytes(flags, "little") >> (n - 1) ** (n - 1)  # no bit past the flags
         assert decode_flags(n, flags) == brute_force_parking_functions(n)
 
     @pytest.mark.parametrize("n", range(1, 8))

@@ -315,7 +315,7 @@ class TestCcwListCache:
             twins = (
                 NoncrossingTree.from_edges(n, edges),
                 NoncrossingTree.from_edges(n, [(j, i) for i, j in reversed(edges)]),
-                NoncrossingTree(n, edges),  # a list: unhashable, still accepted
+                NoncrossingTree(n, edges),  # a list, stored as a frozenset of tuples
                 tree,
             )
             for twin in twins + twins[::-1]:
