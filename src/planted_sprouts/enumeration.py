@@ -60,8 +60,6 @@ def count_plays_recursive(n: int) -> int:
         # the terms at i and m-i are equal, so sum the first half and double it
         half = sum(math.comb(m - 2, i - 1) * b[i] * b[m - i] for i in range(1, (m + 1) // 2))
         total = 2 * half + (math.comb(m - 2, m // 2 - 1) * b[m // 2] ** 2 if m % 2 == 0 else 0)
-        if (m * total) % 2:
-            raise ArithmeticError(f"recursion sum for n={m} is not divisible by 2 after scaling")
         b.append(m * total // 2)
     return b[n]
 

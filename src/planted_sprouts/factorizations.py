@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, _ccw_pairs
+from .game import PlaySequence, _ccw_pairs, _pairs
 
 
 def successor_cycle(n: int) -> tuple:
@@ -42,17 +42,8 @@ class TranspositionSeq:
     transpositions: tuple  # ordered; each entry (a, b) with a < b
 
     def __post_init__(self):
-        seq = self.transpositions
-        canonical = type(seq) is tuple
-        if not canonical:
-            seq = tuple(seq)  # a list or a generator, read once
-        for pair in seq:
-            a, b = pair
-            if not (1 <= a < b <= self.n):
-                raise ValueError(f"transposition ({a},{b}) is not a pair of labels in 1..{self.n}")
-            canonical = canonical and type(pair) is tuple
-        if not canonical:  # stored as tuple pairs, so equal sequences compare and hash alike
-            seq = tuple([(a, b) for a, b in seq])
+        seq = _pairs(self.n, self.transpositions, "transposition")
+        if seq is not self.transpositions:
             object.__setattr__(self, "transpositions", seq)
         if len(seq) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} transpositions, got {len(seq)}")

@@ -51,6 +51,32 @@ class GameState:
         return all(len(sg) == 1 for sg in self.subgames)
 
 
+def _pairs(n: int, pairs, noun: str) -> tuple:
+    """`pairs`, each of two integer labels a < b in 1..n, as a tuple of int
+    tuple pairs, so equal values compare and hash alike: the one check of the
+    sorted-pair form of moves, transpositions and tree edges.  A tuple of int
+    tuple pairs comes back as the same object; a list or a generator is read
+    once, and bool labels are stored as ints.  `noun` names an entry in the
+    ValueError."""
+    canonical = type(pairs) is tuple
+    if not canonical:
+        pairs = tuple(pairs)
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"{noun} {pair!r} is not a pair of labels") from None
+        if type(a) is not int or type(b) is not int:
+            if not (isinstance(a, int) and isinstance(b, int)):
+                raise ValueError(f"{noun} labels must be integers, got {pair!r}")
+            canonical = False  # bools and other int subclasses, stored as ints
+        if not 1 <= a < b <= n:
+            shape = "sorted pair of labels" if b < a else "pair of distinct labels"
+            raise ValueError(f"{noun} {a}-{b} is not a {shape} in 1..{n}")
+        canonical = canonical and type(pair) is tuple
+    return pairs if canonical else tuple([(int(a), int(b)) for a, b in pairs])
+
+
 @dataclass(frozen=True)
 class PlaySequence:
     """An ordered list of short-label pairs (arc labels), each a sorted
@@ -64,21 +90,9 @@ class PlaySequence:
     moves: tuple  # of (i, j) tuples with i < j
 
     def __post_init__(self):
-        n, moves = self.n, self.moves
-        canonical = type(moves) is tuple
-        if not canonical:
-            moves = tuple(moves)  # a list or a generator, read once
-        for pair in moves:
-            a, b = pair
-            if not (isinstance(a, int) and isinstance(b, int)):
-                raise ValueError(f"move labels must be integers, got {pair!r}")
-            if not 1 <= a < b <= n:
-                if b < a:
-                    raise ValueError(f"move {a}-{b} is not a sorted pair; PlaySequence.of sorts it")
-                raise ValueError(f"move {a}-{b} is not a pair of distinct labels in 1..{n}")
-            canonical = canonical and type(pair) is tuple
-        if not canonical:  # stored as tuple pairs, so equal plays compare and hash alike
-            object.__setattr__(self, "moves", tuple([(a, b) for a, b in moves]))
+        moves = _pairs(self.n, self.moves, "move")
+        if moves is not self.moves:
+            object.__setattr__(self, "moves", moves)
 
     @classmethod
     def of(cls, n: int, pairs) -> "PlaySequence":

@@ -42,6 +42,8 @@ class ParkingFunction:
             values = tuple(values)  # a list or a generator, read once
         if not is_parking_function(self.n, values):
             raise ValueError(f"not a parking function of length {self.n - 1}: {self.values}")
+        if bool in map(type, values):  # accepted as 0 < True <= m, stored as ints
+            values = tuple(map(int, values))
         if values is not self.values:  # a tuple, so equal functions compare and hash alike
             object.__setattr__(self, "values", values)
 

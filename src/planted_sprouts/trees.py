@@ -12,7 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .game import PlaySequence, endstate_signature
+from .game import PlaySequence, _pairs, endstate_signature
 
 
 def _normalize_edges(edges):
@@ -62,44 +62,11 @@ def _tree_ccw(tree) -> list:
 
 def is_noncrossing_tree(n: int, edges) -> bool:
     """True iff the edges form a spanning tree of 1..n with no two chords
-    interleaving cyclically."""
-    if n < 1:
-        return False
+    interleaving cyclically: iff `NoncrossingTree.from_edges` accepts them."""
     try:
-        norm = _normalize_edges(edges)
-    except (ValueError, TypeError):
+        NoncrossingTree.from_edges(n, edges)
+    except (ValueError, TypeError):  # TypeError: an edge that is no pair, or unorderable labels
         return False
-    return _is_noncrossing_tree_of_pairs(n, norm)
-
-
-def _is_noncrossing_tree_of_pairs(n: int, pairs) -> bool:
-    """`is_noncrossing_tree` for n >= 1 on edges already in the form (i, j),
-    i < j: the sweep and the union-find read them as they are, once they are
-    known to be integer labels in 1..n."""
-    if len(pairs) != n - 1:
-        return False
-    if not all(isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n for i, j in pairs):
-        return False
-    # Sweep chords by left end, longest first, keeping the right ends of the
-    # chords around the sweep point, innermost last: a chord crosses one of
-    # them iff it ends past the innermost one still open.
-    ends = []
-    for a, b in sorted(pairs, key=lambda e: (e[0], -e[1])):
-        while ends and ends[-1] <= a:
-            ends.pop()
-        if ends and ends[-1] < b:
-            return False
-        ends.append(b)
-    # connected + n-1 edges => tree; a repeated pair closes a cycle
-    root = list(range(n + 1))  # union-find, halving paths
-    for i, j in pairs:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        while root[j] != j:
-            root[j] = j = root[root[j]]
-        if i == j:
-            return False
-        root[i] = j
     return True
 
 
@@ -109,22 +76,39 @@ class NoncrossingTree:
     edges: frozenset  # of (i, j) tuples with i < j
 
     def __post_init__(self):
-        edges = self.edges
-        canonical = type(edges) is frozenset
+        n, edges = self.n, tuple(self.edges)  # a list or a generator, read once
         try:
-            if not canonical:
-                edges = tuple(edges)  # a list or a generator, read once
-            pairs = True
-            for edge in edges:
-                i, j = edge
-                pairs = pairs and i < j
-                canonical = canonical and type(edge) is tuple
-        except (ValueError, TypeError):  # an edge that is no pair, or unordered labels
-            pairs = False
-        if not (self.n >= 1 and pairs and _is_noncrossing_tree_of_pairs(self.n, edges)):
-            raise ValueError(f"not a noncrossing tree on {self.n} vertices: {sorted(edges)}")
-        if not canonical:  # stored as a frozenset of tuples, so equal trees compare and hash alike
-            object.__setattr__(self, "edges", frozenset([(i, j) for i, j in edges]))
+            pairs = _pairs(n, edges, "edge")
+            if len(pairs) != n - 1:
+                raise ValueError("not n-1 edges")
+            # Sweep chords by left end, longest first, keeping the right ends of
+            # the chords around the sweep point, innermost last: a chord crosses
+            # one of them iff it ends past the innermost one still open.
+            ends = []
+            for a, b in sorted(pairs, key=lambda e: (e[0], -e[1])):
+                while ends and ends[-1] <= a:
+                    ends.pop()
+                if ends and ends[-1] < b:
+                    raise ValueError("two edges cross")
+                ends.append(b)
+            # connected + n-1 edges => tree; a repeated pair closes a cycle
+            root = list(range(n + 1))  # union-find, halving paths
+            for i, j in pairs:
+                while root[i] != i:
+                    root[i] = i = root[root[i]]
+                while root[j] != j:
+                    root[j] = j = root[root[j]]
+                if i == j:
+                    raise ValueError("the edges close a cycle")
+                root[i] = j
+        except ValueError:
+            try:
+                edges = sorted(edges)
+            except TypeError:  # labels of mixed types are shown as given
+                edges = list(edges)
+            raise ValueError(f"not a noncrossing tree on {n} vertices: {edges}") from None
+        if pairs is not edges or type(self.edges) is not frozenset:
+            object.__setattr__(self, "edges", frozenset(pairs))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "NoncrossingTree":
@@ -133,7 +117,7 @@ class NoncrossingTree:
 
 def endstate_to_tree(state) -> NoncrossingTree:
     """The noncrossing tree whose edges are a complete game's arc labels."""
-    return NoncrossingTree.from_edges(state.n, endstate_signature(state))
+    return NoncrossingTree(state.n, endstate_signature(state))
 
 
 def _primary(nb) -> list:

@@ -1,5 +1,6 @@
 """Core state machine: moves, splitting, labels, replay, serialization."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -27,6 +28,7 @@ from planted_sprouts import (
     transpositions_to_game,
     tree_to_canonical_game,
 )
+from planted_sprouts.formats import parking_from_text, read_play, seq_from_text, tree_from_text, write
 from helpers import all_plays, apply_move, locate_labels
 
 
@@ -301,6 +303,34 @@ class TestCanonicalForm:
         for given in ([(b, a) for a, b in sorted(canonical)], [[b, a] for a, b in canonical]):
             with pytest.raises(ValueError):
                 kind(n, given)
+
+    READERS = {
+        PlaySequence: lambda n, text: read_play(text),
+        NoncrossingTree: lambda n, text: tree_from_text(n, text.partition(":")[2]),
+        ParkingFunction: parking_from_text,
+        TranspositionSeq: seq_from_text,
+    }
+
+    @pytest.mark.parametrize("kind,n,canonical", CASES)
+    def test_labels_are_stored_as_ints_or_rejected(self, kind, n, canonical):
+        def relabel(label):  # label 1 replaced by `label`, in the canonical value's container
+            def swap(v):
+                return label if v == 1 else v
+
+            return type(canonical)(
+                tuple(map(swap, x)) if type(x) is tuple else swap(x) for x in canonical
+            )
+
+        value = kind(n, relabel(True))
+        assert value == kind(n, canonical) and hash(value) == hash(kind(n, canonical))
+        stored = getattr(value, dataclasses.fields(value)[1].name)
+        assert all(type(v) is int for x in stored for v in (x if type(x) is tuple else (x,)))
+        text = write(value, "text")
+        assert "True" not in text and "true" not in write(value, "json")
+        assert self.READERS[kind](n, text.strip()) == value
+        for label in (1.0, "1", None):
+            with pytest.raises(ValueError):
+                kind(n, relabel(label))
 
     def test_bad_input_messages_name_what_was_given(self):
         with pytest.raises(ValueError, match=r"got \[1, 'x'\]"):
