@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, _ccw_pairs, _pairs
+from .game import PlaySequence, _ccw_pairs, _made, _pairs
 
 
 def successor_cycle(n: int) -> tuple:
@@ -56,8 +56,12 @@ class TranspositionSeq:
 
 
 def game_to_transpositions(play: PlaySequence) -> TranspositionSeq:
-    """Counterclockwise pairs of the play's moves, in order."""
-    return TranspositionSeq(n=play.n, transpositions=_ccw_pairs(play))
+    """Counterclockwise pairs of the play's moves, in order: n-1 sorted pairs
+    of int labels, whose in-order product is checked."""
+    n, pairs = play.n, _ccw_pairs(play)
+    if compose_in_order(n, pairs) != successor_cycle(n):
+        raise ValueError("in-order product is not the successor cycle")
+    return _made(TranspositionSeq, n, "transpositions", pairs)
 
 
 def transpositions_to_game(seq: TranspositionSeq) -> PlaySequence:
@@ -66,15 +70,17 @@ def transpositions_to_game(seq: TranspositionSeq) -> PlaySequence:
     subgame containing both.  Joining the arms after them swaps the successor
     array by the transposition, and the in-order product is the n-cycle, so
     every swap splits a region (see `game._cycle_steps`).  Only the successors
-    are read, so each join is the swap itself.
+    are read, so each join is the swap itself.  i and j are the images of
+    a != b under the permutation nxt, so each move is a pair of distinct int
+    labels once it is sorted.
     """
     nxt = [0, *range(2, seq.n + 1), 1]
     moves = []
     for a, b in seq.transpositions:
         i, j = nxt[a], nxt[b]
         nxt[a], nxt[b] = j, i
-        moves.append((i, j))
-    return PlaySequence.of(seq.n, moves)
+        moves.append((i, j) if i < j else (j, i))
+    return _made(PlaySequence, seq.n, "moves", tuple(moves))
 
 
 def enumerate_factorizations(n: int):

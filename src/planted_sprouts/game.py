@@ -77,6 +77,18 @@ def _pairs(n: int, pairs, noun: str) -> tuple:
     return pairs if canonical else tuple([(int(a), int(b)) for a, b in pairs])
 
 
+def _made(cls, n: int, field: str, value):
+    """A value object of `cls` with fields n and `field`, made without its
+    `__post_init__`: the trusted path by which a map builds its output.  The
+    map checks in its own loop whatever that loop does not guarantee, and
+    `value` must already be the canonical form the constructor would store
+    (a tuple of int tuple pairs, or a tuple of ints)."""
+    made = object.__new__(cls)
+    object.__setattr__(made, "n", n)
+    object.__setattr__(made, field, value)
+    return made
+
+
 @dataclass(frozen=True)
 class PlaySequence:
     """An ordered list of short-label pairs (arc labels), each a sorted
@@ -128,7 +140,8 @@ class _Arms:
     a = prv[i] and b = prv[j]: nxt is composed with the transposition (a b),
     which splits the cycle in two when i and j share a region (see
     `_cycle_steps`).  The ccw pair is read there only, and joining i and j
-    again undoes the move.  Region ids are kept by `replay` alone.
+    again undoes the move.  Region ids are kept by `replay` alone.  The join
+    is also written out on local lists in `_ccw_pairs`, the per-play hot path.
     """
 
     __slots__ = ("nxt", "prv")
@@ -188,10 +201,15 @@ def _ccw_pairs(play: PlaySequence) -> tuple:
     n = play.n
     if len(play.moves) < n - 1:  # before any array of size n; a longer play fails at move n
         raise ValueError("play is not complete")
-    arms = _Arms(n)
-    join = arms.join
-    pairs = [join(i, j) for i, j in play.moves]
-    if len(pairs) != n - 1 or arms.nxt[1:] != list(range(1, n + 1)):
+    if n < 1:
+        raise ValueError(f"game order must be positive, got {n}")
+    nxt, prv, pairs = [1, *range(2, n + 1), 1], [n, n, *range(1, n)], []
+    for i, j in play.moves:  # `_Arms.join`
+        a, b = prv[i], prv[j]
+        nxt[a], nxt[b] = j, i
+        prv[i], prv[j] = b, a
+        pairs.append((a, b) if a < b else (b, a))
+    if len(pairs) != n - 1 or nxt[1:] != list(range(1, n + 1)):
         raise _illegal(play, [*_cycle_steps(n, pairs)].index(-1))
     return tuple(pairs)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import ge
 
-from .game import PlaySequence, _ccw_pairs
+from .game import PlaySequence, _ccw_pairs, _made
 
 
 def is_parking_function(n: int, values) -> bool:
@@ -49,8 +49,12 @@ class ParkingFunction:
 
 
 def game_to_parking(play: PlaySequence) -> ParkingFunction:
-    """The k-th value is the min of the k-th move's counterclockwise pair."""
-    return ParkingFunction(n=play.n, values=tuple([a for a, _ in _ccw_pairs(play)]))
+    """The k-th value is the min of the k-th move's counterclockwise pair:
+    a tuple of int labels, checked as a parking function."""
+    values = tuple([a for a, _ in _ccw_pairs(play)])
+    if not is_parking_function(play.n, values):
+        raise ValueError(f"not a parking function of length {play.n - 1}: {values}")
+    return _made(ParkingFunction, play.n, "values", values)
 
 
 def parking_to_game(pf: ParkingFunction) -> PlaySequence:
@@ -61,10 +65,13 @@ def parking_to_game(pf: ParkingFunction) -> PlaySequence:
     i at which the running sum of left - 1 reaches -1: the arms i..x are the
     side the move cuts off, and their own values fill it like a parking
     function.  For a parking function the walk never returns to v.  The
-    join's ccw neighbours are v and x, so it swaps their successors.
+    join's ccw neighbours are v and x, so it swaps their successors.  The
+    labels i and j are read from nxt, so each move is a pair of int labels
+    in 1..n once it is sorted and i != j.
     """
-    nxt = [0, *range(2, pf.n + 1), 1]
-    left = [0] * (pf.n + 1)
+    n = pf.n
+    nxt = [0, *range(2, n + 1), 1]
+    left = [0] * (n + 1)
     for v in pf.values:
         left[v] += 1
     moves = []
@@ -77,5 +84,7 @@ def parking_to_game(pf: ParkingFunction) -> PlaySequence:
             total += left[x] - 1
         j = nxt[x]
         nxt[v], nxt[x] = j, i
+        if i == j:
+            raise ValueError(f"move {i}-{i} is not a pair of distinct labels in 1..{n}")
         moves.append((i, j) if i < j else (j, i))
-    return PlaySequence(pf.n, tuple(moves))
+    return _made(PlaySequence, n, "moves", tuple(moves))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import PlaySequence, _Arms
+from .game import PlaySequence, _Arms, _made
 from .trees import NoncrossingTree, _tree_ccw
 
 
@@ -84,7 +84,8 @@ def games_with_endstate(tree: NoncrossingTree):
     iff exactly one of its ends lies in x's new region, which is iff its bit
     is set in the XOR of incident[] over that region.  An explicit stack of
     played arcs replaces the recursion: undoing the last arc k resumes its
-    stage at arc k+1."""
+    stage at arc k+1.  Every move is one of the tree's edges, already a
+    sorted pair of int labels."""
     n, edges = tree.n, sorted(tree.edges)
     arms = _Arms(n)
     nxt, join = arms.nxt, arms.join
@@ -95,7 +96,7 @@ def games_with_endstate(tree: NoncrossingTree):
     out, path, played = [], [], []  # plays found, arcs played, their bits
     unplayed, k = (1 << len(edges)) - 1, 0
     if not unplayed:
-        return [PlaySequence(n, ())]
+        return [_made(PlaySequence, n, "moves", ())]
     while True:
         if unplayed >> k:  # an unplayed arc at k or above
             if unplayed >> k & 1:
@@ -112,7 +113,7 @@ def games_with_endstate(tree: NoncrossingTree):
                         played.append(k)
                         unplayed, k = rest, 0
                         continue
-                    out.append(PlaySequence(n, (*path, arc)))
+                    out.append(_made(PlaySequence, n, "moves", (*path, arc)))
                 join(x, y)
             k += 1
         elif played:

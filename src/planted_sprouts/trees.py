@@ -12,20 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .game import PlaySequence, _pairs, endstate_signature
-
-
-def _normalize_edges(edges):
-    out = set()
-    for e in edges:
-        a, b = e
-        if a == b:
-            raise ValueError(f"edge {e!r} is a loop")
-        key = (min(a, b), max(a, b))
-        if key in out:
-            raise ValueError(f"edge {a}-{b} is repeated")
-        out.add(key)
-    return frozenset(out)
+from .game import PlaySequence, _made, _pairs, endstate_signature
 
 
 def _ccw_neighbours(n, edges) -> list:
@@ -65,7 +52,7 @@ def is_noncrossing_tree(n: int, edges) -> bool:
     interleaving cyclically: iff `NoncrossingTree.from_edges` accepts them."""
     try:
         NoncrossingTree.from_edges(n, edges)
-    except (ValueError, TypeError):  # TypeError: an edge that is no pair, or unorderable labels
+    except ValueError:
         return False
     return True
 
@@ -76,11 +63,16 @@ class NoncrossingTree:
     edges: frozenset  # of (i, j) tuples with i < j
 
     def __post_init__(self):
-        n, edges = self.n, tuple(self.edges)  # a list or a generator, read once
+        n, edges, why = self.n, self.edges, ""
         try:
+            edges = tuple(edges)  # a list or a generator, read once
             pairs = _pairs(n, edges, "edge")
-            if len(pairs) != n - 1:
-                raise ValueError("not n-1 edges")
+            kept = type(self.edges) is frozenset and pairs is edges
+            stored = self.edges if kept else frozenset(pairs)
+            if len(stored) != len(pairs):  # named, as two equal entries are easy to miss
+                why = "; an edge is repeated"
+            if why or len(pairs) != n - 1:
+                raise ValueError("not n-1 distinct edges")
             # Sweep chords by left end, longest first, keeping the right ends of
             # the chords around the sweep point, innermost last: a chord crosses
             # one of them iff it ends past the innermost one still open.
@@ -91,7 +83,7 @@ class NoncrossingTree:
                 if ends and ends[-1] < b:
                     raise ValueError("two edges cross")
                 ends.append(b)
-            # connected + n-1 edges => tree; a repeated pair closes a cycle
+            # connected + n-1 distinct edges => tree
             root = list(range(n + 1))  # union-find, halving paths
             for i, j in pairs:
                 while root[i] != i:
@@ -101,18 +93,27 @@ class NoncrossingTree:
                 if i == j:
                     raise ValueError("the edges close a cycle")
                 root[i] = j
-        except ValueError:
-            try:
-                edges = sorted(edges)
-            except TypeError:  # labels of mixed types are shown as given
-                edges = list(edges)
-            raise ValueError(f"not a noncrossing tree on {n} vertices: {edges}") from None
-        if pairs is not edges or type(self.edges) is not frozenset:
-            object.__setattr__(self, "edges", frozenset(pairs))
+        except (TypeError, ValueError):  # TypeError: edges not iterable, or an order no int
+            if type(edges) is tuple:
+                try:
+                    edges = sorted(edges)
+                except TypeError:  # labels of mixed types are shown as given
+                    edges = list(edges)
+            raise ValueError(f"not a noncrossing tree on {n} vertices: {edges}{why}") from None
+        if stored is not self.edges:
+            object.__setattr__(self, "edges", stored)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "NoncrossingTree":
-        return cls(n=n, edges=_normalize_edges(edges))
+        """The tree of the given edges, each pair put in sorted order.  Edges
+        that cannot be sorted are no pairs of integer labels, or no edges at
+        all, and are passed on as given for the constructor to reject."""
+        try:
+            edges = list(edges)  # a generator, read once
+            edges = [(b, a) if b < a else (a, b) for a, b in edges]
+        except (TypeError, ValueError):
+            pass
+        return cls(n=n, edges=edges)
 
 
 def endstate_to_tree(state) -> NoncrossingTree:
@@ -174,7 +175,9 @@ def tree_to_canonical_game(tree: NoncrossingTree) -> PlaySequence:
     cyclic interval [i, j) and no primary edge of the subgame starts below i,
     so side a holds the keys in (i, j), side b those above j, and one bisect
     splits the list.  Side a's least label is i; side b's is the subgame's if
-    that is below i, and j otherwise.  No recursion: an explicit stack.
+    that is below i, and j otherwise.  No recursion: an explicit stack.  A
+    key is minus the smaller end i of its edge, so every move (i, j) is one
+    of the tree's edges, already a sorted pair of int labels.
     """
     n = tree.n
     nb = _tree_ccw(tree)
@@ -205,7 +208,7 @@ def tree_to_canonical_game(tree: NoncrossingTree) -> PlaySequence:
                 if nb[w][first[w]] == v:
                     bisect.insort(side, -min(v, w))
         stack += ((j, b), (i, a)) if low == i else ((i, a), (low, b))
-    return PlaySequence.of(n, moves)
+    return _made(PlaySequence, n, "moves", tuple(moves))
 
 
 def enumerate_noncrossing_trees(n: int):

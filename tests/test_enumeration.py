@@ -225,13 +225,17 @@ class TestVerifyAll:
             ("transpositions_to_game", "factorization_image"),
             ("_cycle_steps", "cycle_growth"),
             ("compose_in_order", "factorization_product"),
+            ("game_to_parking", "parking_round_trip"),
+            ("tree_to_canonical_game", "realization_round_trip"),
+            ("games_with_endstate", "poset_linear_extensions"),
         ],
     )
     def test_wrong_map_fails_only_its_check(self, monkeypatch, capsys, name, check):
-        # wrong on the last play enumerated only, which with jobs is in the last part;
-        # every check runs at n=5, the four named here among them
+        # wrong on the last play or tree enumerated only, which with jobs is in the
+        # last part; every check runs at n=5, the ones named here among them
         right, last = getattr(enumeration, name), list(enumerate_games(5))[-1]
         last_ccw = game_to_transpositions(last).transpositions
+        first_tree, *_, last_tree = all_trees(5)
 
         def wrong(obj):
             play = right(obj)
@@ -251,7 +255,36 @@ class TestVerifyAll:
             product = right(n, ccw)
             return product[::-1] if ccw == last_ccw else product
 
-        fakes = {"_cycle_steps": (merges,), "compose_in_order": (misplaces,)}
+        # the maps build their outputs without the constructors' checks, so these
+        # mutants do too: one reversed pair, which PlaySequence rejects, and a
+        # value off by one
+        def reverses(pf):
+            play = right(pf)
+            if play != last:
+                return play
+            return game._made(PlaySequence, 5, "moves", (*play.moves[:-1], play.moves[-1][::-1]))
+
+        def off_by_one(play):
+            pf = right(play)
+            if play != last:
+                return pf
+            return game._made(type(pf), 5, "values", (*pf.values[:-1], pf.values[-1] + 1))
+
+        def elsewhere(tree):  # another tree's play
+            return right(first_tree if tree == last_tree else tree)
+
+        def drops(tree):  # one play fewer
+            plays = right(tree)
+            return plays[:-1] if tree == last_tree else plays
+
+        fakes = {
+            "parking_to_game": (wrong, rejects, reverses),
+            "_cycle_steps": (merges,),
+            "compose_in_order": (misplaces,),
+            "game_to_parking": (off_by_one,),
+            "tree_to_canonical_game": (elsewhere,),
+            "games_with_endstate": (drops,),
+        }
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
         for fake, jobs in itertools.product(fakes.get(name, (wrong, rejects)), (1, 2)):
             monkeypatch.setattr(enumeration, name, fake)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from planted_sprouts import (
     GameState,
@@ -17,6 +18,7 @@ from planted_sprouts import (
     endstate_to_tree,
     game_to_parking,
     game_to_transpositions,
+    games_with_endstate,
     legal_moves,
     new_game,
     parking_to_game,
@@ -29,7 +31,7 @@ from planted_sprouts import (
     tree_to_canonical_game,
 )
 from planted_sprouts.formats import parking_from_text, read_play, seq_from_text, tree_from_text, write
-from helpers import all_plays, apply_move, locate_labels
+from helpers import all_plays, all_trees, apply_move, locate_labels, parking_functions, tree_of
 
 
 def shorts(state):
@@ -339,3 +341,53 @@ class TestCanonicalForm:
             ParkingFunction(4, [1, 1, 5])
         with pytest.raises(ValueError, match=r"\[\(1, 2\), \(1, 2\)\]"):
             NoncrossingTree(3, [(1, 2), (1, 2)])
+
+
+def assert_as_constructed(made):
+    """A map's output, built without its constructor's checks, equals, hashes
+    like and prints like the object the public constructor builds from a list
+    of the same entries, and stores its field in the canonical form: a tuple
+    of int tuple pairs, or a tuple of ints."""
+    field = dataclasses.fields(made)[1].name
+    stored = getattr(made, field)
+    public = type(made)(made.n, list(stored))
+    assert made == public and hash(made) == hash(public) and {made: 0} == {public: 0}
+    assert repr(made) == repr(public)
+    assert write(made, "text") == write(public, "text")
+    assert write(made, "json") == write(public, "json")
+    assert type(made.n) is int and type(stored) is tuple
+    for entry in stored:
+        assert type(entry) is int or (
+            type(entry) is tuple and len(entry) == 2 and all(type(x) is int for x in entry)
+        )
+
+
+class TestMapOutputs:
+    """Each map builds its output through `game._made`, without the output
+    type's checks; the object is still the one the constructor would build."""
+
+    @staticmethod
+    def assert_play_maps(play):
+        pf, seq = game_to_parking(play), game_to_transpositions(play)
+        for made in (pf, parking_to_game(pf), seq, transpositions_to_game(seq)):
+            assert_as_constructed(made)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_play(self, n):
+        for play in all_plays(n):
+            self.assert_play_maps(play)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_tree(self, n):
+        for tree in all_trees(n):
+            assert_as_constructed(tree_to_canonical_game(tree))
+            for play in games_with_endstate(tree):
+                assert_as_constructed(play)
+
+    @settings(deadline=None, max_examples=50)
+    @given(parking_functions(max_n=1000))
+    def test_large_objects(self, drawn):
+        n, values = drawn
+        play = parking_to_game(ParkingFunction(n, values))
+        self.assert_play_maps(play)
+        assert_as_constructed(tree_to_canonical_game(tree_of(n, values)))
