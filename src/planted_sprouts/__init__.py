@@ -11,23 +11,17 @@ exhaustive verification suite for all the counting identities.
 from .enumeration import (
     CountReport,
     count_plays,
-    count_plays_recursive,
     enumerate_games,
     variant_counts,
     verify_all,
 )
 from .factorizations import (
     TranspositionSeq,
-    compose_in_order,
-    enumerate_factorizations,
     game_to_transpositions,
-    successor_cycle,
     transpositions_to_game,
 )
 from .formats import (
-    play_from_json,
     play_from_text,
-    play_to_json,
     play_to_text,
     poset_to_dot,
     tree_to_dot,
@@ -37,7 +31,6 @@ from .game import (
     IllegalMoveError,
     MoveRecord,
     PlaySequence,
-    endstate_signature,
     legal_moves,
     new_game,
     replay,
@@ -59,9 +52,7 @@ from .trees import (
     count_endstates,
     endstate_to_tree,
     enumerate_noncrossing_trees,
-    find_primary_edge,
     is_noncrossing_tree,
-    is_pivotable_clockwise,
     primary_edges,
     tree_to_canonical_game,
 )

@@ -25,9 +25,7 @@ def _cmd_enumerate_games(args):
 
 
 def _cmd_enumerate_endstates(args):
-    signatures = {frozenset(arcs) for arcs, _ in game._walk_plays(args.n)}
-    for sig in sorted(signatures, key=lambda s: sorted(s)):
-        yield trees.NoncrossingTree(args.n, sig)
+    yield from trees.enumerate_noncrossing_trees(args.n)
 
 
 def _cmd_to_tree(args):

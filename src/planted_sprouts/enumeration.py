@@ -22,7 +22,7 @@ from .factorizations import (
     successor_cycle,
     transpositions_to_game,
 )
-from .game import PlaySequence, _cycle_steps, _walk_plays, replay
+from .game import PlaySequence, _cycle_steps, _order, _walk_plays, replay
 from .parking import ParkingFunction, game_to_parking, parking_to_game
 from .poset import build_poset, games_with_endstate, linear_extensions
 from .trees import (
@@ -45,16 +45,14 @@ def enumerate_games(n: int):
 
 def count_plays(n: int) -> int:
     """Closed form n^(n-2); the empty product gives 1 at n = 1."""
-    if n < 1:
-        raise ValueError(f"game order must be positive, got {n}")
+    _order(n)
     return 1 if n == 1 else n ** (n - 2)
 
 
 def count_plays_recursive(n: int) -> int:
     """Play count by the split recursion: half of m times the sum over first
     split sizes i of C(m-2, i-1) * b_i * b_(m-i), built up order by order."""
-    if n < 1:
-        raise ValueError(f"game order must be positive, got {n}")
+    _order(n)
     b = [0, 1]
     for m in range(2, n + 1):
         # the terms at i and m-i are equal, so sum the first half and double it
@@ -116,69 +114,59 @@ class CountReport:
         return "\n".join(lines)
 
 
-def _play_readers(n):
-    """The play sets, as what one play adds to each, and the per-play tests,
-    each of which must hold on every play.  Both read a play as its arcs,
-    its ccw pairs and its parking values.
+def _play_stats(n, first_arc, reads):
+    """The play count, the play sets and the per-play test verdicts named in
+    `reads`, over the plays with a given first arc (or all plays), in one
+    loop that reads each play as its arcs and its ccw pairs.  `signatures`
+    holds the plays' arc sets and `factorizations` their ccw pairs, and each
+    test must hold on every play.
+
+    The parking values are not kept as a set: a play's values v_1..v_(n-1)
+    are the number sum((v_k - 1) (n-1)^(n-1-k)) in base n-1, and `parkings`
+    is a flag array of (n-1)^(n-1) bits, eight to a byte, with bit r & 7 of
+    byte r >> 3 set for each play's number r.
 
     `cycle_growth` is the split walk `game._cycle_steps` over the ccw pairs,
     with no TranspositionSeq: every step splits iff the pairs factor the
     successor cycle, so the test implies the product condition."""
     successor = successor_cycle(n)
 
-    def parking_round_trip(arcs, ccw, values):
+    def parking_round_trip(arcs, ccw):
+        values = tuple([a for a, _ in ccw])
         back = parking_to_game(ParkingFunction(n, values))
         return back.moves == arcs and game_to_parking(back).values == values
 
-    def transposition_round_trip(arcs, ccw, values):
+    def transposition_round_trip(arcs, ccw):
         return transpositions_to_game(TranspositionSeq(n, ccw)).moves == arcs
 
-    sets = {
-        "signatures": lambda arcs, ccw, values: frozenset(arcs),
-        "factorizations": lambda arcs, ccw, values: ccw,
-    }
     tests = {
         "parking_round_trip": parking_round_trip,
-        "factorization_product": lambda arcs, ccw, values: compose_in_order(n, ccw) == successor,
-        "cycle_growth": lambda arcs, ccw, values: -1 not in _cycle_steps(n, ccw),
+        "factorization_product": lambda arcs, ccw: compose_in_order(n, ccw) == successor,
+        "cycle_growth": lambda arcs, ccw: -1 not in _cycle_steps(n, ccw),
         "transposition_round_trip": transposition_round_trip,
     }
-    return sets, tests
-
-
-def _play_stats(n, first_arc, reads):
-    """The play count, the play sets and the per-play test verdicts named in
-    `reads`, over the plays with a given first arc (or all plays).
-
-    The parking values are not kept as a set: a play's values v_1..v_(n-1)
-    are the number sum((v_k - 1) (n-1)^(n-1-k)) in base n-1, and `parkings`
-    is a flag array of (n-1)^(n-1) bits, eight to a byte, with bit r & 7 of
-    byte r >> 3 set for each play's number r."""
-    gather, test = _play_readers(n)
-    sets = {name: set() for name in gather if name in reads}
-    holds = {name: True for name in test if name in reads}
-    adds = [(sets[name].add, gather[name]) for name in sets]
-    tests = [(name, test[name]) for name in holds]
-    want_values = "parking_round_trip" in reads
+    sets = {name: set() for name in ("signatures", "factorizations") if name in reads}
+    signatures, factorizations = sets.get("signatures"), sets.get("factorizations")
+    holds = {name: True for name in tests if name in reads}
     if "parkings" in reads:
         sets["parkings"] = bytearray(((n - 1) ** (n - 1) + 7) >> 3)
     flags, base = sets.get("parkings"), n - 1
-    count, values = 0, None
+    count = 0
     for arcs, ccw in _walk_plays(n, first_arc):
         count += 1
-        if want_values:
-            values = tuple([a for a, _ in ccw])
+        if signatures is not None:
+            signatures.add(frozenset(arcs))
+        if factorizations is not None:
+            factorizations.add(ccw)
         if flags is not None:
             rank = 0
             for a, _ in ccw:
                 rank = rank * base + a - 1
             flags[rank >> 3] |= 1 << (rank & 7)
-        for add, read in adds:
-            add(read(arcs, ccw, values))
-        for name, holds_on in tests:
+        for name in holds:
             if holds[name]:
                 try:  # a map that rejects a play of the walk fails its test
-                    holds[name] = holds_on(arcs, ccw, values)
+                    holds[name] = tests[name](arcs, ccw)
                 except ValueError:
                     holds[name] = False
     return count, sets, holds
@@ -295,9 +283,10 @@ def _extensions_are_plays(r, got) -> bool:
 
 
 # Every check, in report order: its default cutoff (the largest n it runs at
-# unless named), what it reads ("plays" for the play count, play sets and
-# per-play tests from _play_readers, "trees" for every noncrossing tree) and
-# its final predicate over the report and what was read.
+# unless named), what it reads ("plays" for the play count, the play sets and
+# per-play tests of _play_stats, "trees" for every noncrossing tree) and its
+# final predicate over the report and what was read, or None for a check
+# that is a per-play test, whose verdict is the walk's.
 _CHECKS = {
     "play_count_power": (9, ("plays",), lambda r, got: got["plays"] == r.formula_b_n),
     "play_count_recursion": (math.inf, (), lambda r, got: r.recursion_b_n == r.formula_b_n),
@@ -325,18 +314,14 @@ _CHECKS = {
         lambda r, got: r.pf_image_size == got["plays"],
     ),
     "parking_image": (7, ("parkings",), _parking_image),
-    "parking_round_trip": (7, ("parking_round_trip",), lambda r, got: got["parking_round_trip"]),
-    "factorization_product": (
-        7,
-        ("factorization_product",),
-        lambda r, got: got["factorization_product"],
-    ),
+    "parking_round_trip": (7, ("parking_round_trip",), None),
+    "factorization_product": (7, ("factorization_product",), None),
     "factorization_image": (
         5,
         ("plays", "factorizations", "transposition_round_trip"),
         _factorization_image,
     ),
-    "cycle_growth": (6, ("cycle_growth",), lambda r, got: got["cycle_growth"]),
+    "cycle_growth": (6, ("cycle_growth",), None),
     "poset_linear_extensions": (6, ("trees",), _extensions_are_plays),
     "primary_edge_coherence": (
         7,
@@ -376,11 +361,11 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
         recursion_b_n=count_plays_recursive(n),
     )
     run = [
-        name
-        for name, (limit, _, _) in _CHECKS.items()
+        (name, final)
+        for name, (limit, _, final) in _CHECKS.items()
         if (name in checks if checks is not None else n <= limit)
     ]
-    reads = {read for name in run for read in _CHECKS[name][1]}
+    reads = {read for name, _ in run for read in _CHECKS[name][1]}
     got = {}
     if reads - {"trees"}:  # all but the trees come from the play walk
         count, sets, holds = _all_play_stats(n, reads, jobs)
@@ -393,5 +378,5 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
     )
     if "parkings" in got:  # the number of set flags
         report.pf_image_size = int.from_bytes(got["parkings"], "big").bit_count()
-    report.checks = [(name, _CHECKS[name][2](report, got)) for name in run]
+    report.checks = [(name, final(report, got) if final else got[name]) for name, final in run]
     return report

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, _ccw_pairs, _made, _pairs
+from .game import PlaySequence, _ccw_pairs, _made, _order, _pairs
 
 
 def successor_cycle(n: int) -> tuple:
@@ -87,8 +87,7 @@ def enumerate_factorizations(n: int):
     """Brute force: all (n-1)-sequences of transpositions whose in-order
     product is the successor cycle.  Candidate space is C(n,2)^(n-1), so keep
     n small (n <= 5 is instant)."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    _order(n)
     if n == 1:
         return [TranspositionSeq(1, ())]
     target = successor_cycle(n)

@@ -51,6 +51,12 @@ class GameState:
         return all(len(sg) == 1 for sg in self.subgames)
 
 
+def _order(n) -> None:
+    """The one check of a game order: an int, not a bool, and at least 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"game order must be positive, got {n!r}")
+
+
 def _pairs(n: int, pairs, noun: str) -> tuple:
     """`pairs`, each of two integer labels a < b in 1..n, as a tuple of int
     tuple pairs, so equal values compare and hash alike: the one check of the
@@ -58,9 +64,13 @@ def _pairs(n: int, pairs, noun: str) -> tuple:
     tuple pairs comes back as the same object; a list or a generator is read
     once, and bool labels are stored as ints.  `noun` names an entry in the
     ValueError."""
+    _order(n)
     canonical = type(pairs) is tuple
     if not canonical:
-        pairs = tuple(pairs)
+        try:
+            pairs = tuple(pairs)
+        except TypeError:
+            raise ValueError(f"{noun}s must be an iterable of pairs, got {pairs!r}") from None
     for pair in pairs:
         try:
             a, b = pair
@@ -114,8 +124,7 @@ class PlaySequence:
 
 def new_game(n: int) -> GameState:
     """Initial state: one subgame with arms 1..n in clockwise order."""
-    if n < 1:
-        raise ValueError(f"game order must be positive, got {n}")
+    _order(n)
     subgame = tuple((k, k) for k in range(1, n + 1))
     return GameState(n=n, subgames=(subgame,), history=())
 
@@ -147,8 +156,6 @@ class _Arms:
     __slots__ = ("nxt", "prv")
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"game order must be positive, got {n}")
         self.nxt = [1] + list(range(2, n + 1)) + [1]
         self.prv = [n, n] + list(range(1, n))
 
@@ -201,8 +208,6 @@ def _ccw_pairs(play: PlaySequence) -> tuple:
     n = play.n
     if len(play.moves) < n - 1:  # before any array of size n; a longer play fails at move n
         raise ValueError("play is not complete")
-    if n < 1:
-        raise ValueError(f"game order must be positive, got {n}")
     nxt, prv, pairs = [1, *range(2, n + 1), 1], [n, n, *range(1, n)], []
     for i, j in play.moves:  # `_Arms.join`
         a, b = prv[i], prv[j]
@@ -223,6 +228,7 @@ def _walk_plays(n: int, first_arc=None):
     undoing its last arc (x, y) resumes the stage below at y's successor.
     After n-2 moves one region of two arms x < nxt[x] is left, and the last
     move joins them; its ccw pair is its own arc."""
+    _order(n)
     arms = _Arms(n)
     nxt, join = arms.nxt, arms.join
     path, pairs, floor = [], [], 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import ge
 
-from .game import PlaySequence, _ccw_pairs, _made
+from .game import PlaySequence, _ccw_pairs, _made, _order
 
 
 def is_parking_function(n: int, values) -> bool:
@@ -37,10 +37,13 @@ class ParkingFunction:
     values: tuple
 
     def __post_init__(self):
+        _order(self.n)
         values = self.values
-        if type(values) is not tuple:
-            values = tuple(values)  # a list or a generator, read once
-        if not is_parking_function(self.n, values):
+        try:
+            values = values if type(values) is tuple else tuple(values)  # read once
+        except TypeError:
+            values = None
+        if values is None or not is_parking_function(self.n, values):
             raise ValueError(f"not a parking function of length {self.n - 1}: {self.values}")
         if bool in map(type, values):  # accepted as 0 < True <= m, stored as ints
             values = tuple(map(int, values))

@@ -12,7 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .game import PlaySequence, _made, _pairs, endstate_signature
+from .game import PlaySequence, _made, _order, _pairs, endstate_signature
 
 
 def _ccw_neighbours(n, edges) -> list:
@@ -221,8 +221,7 @@ def enumerate_noncrossing_trees(n: int):
     lo..m and m+1..k.  So each tree is exactly one union of trees on lo..m,
     m+1..k and k..hi plus the edge (lo, k).
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    _order(n)
     trees = {(v, v): [()] for v in range(1, n + 1)}  # edge tuples of each interval
     for size in range(1, n):
         for lo in range(1, n - size + 1):
@@ -240,8 +239,7 @@ def enumerate_noncrossing_trees(n: int):
 
 def count_endstates(n: int) -> int:
     """Closed-form endstate count: C(3n-3, n-1) / (2n-1), exact."""
-    if n < 1:
-        raise ValueError(f"game order must be positive, got {n}")
+    _order(n)
     numerator = math.comb(3 * n - 3, n - 1)
     denominator = 2 * n - 1
     if numerator % denominator:

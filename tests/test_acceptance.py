@@ -12,28 +12,25 @@ import pytest
 from planted_sprouts import (
     ParkingFunction,
     build_poset,
-    compose_in_order,
     count_endstates,
     count_plays,
-    count_plays_recursive,
     endstate_to_tree,
-    enumerate_factorizations,
     enumerate_games,
-    find_primary_edge,
     game_to_parking,
     game_to_transpositions,
     games_with_endstate,
     is_noncrossing_tree,
     is_parking_function,
-    is_pivotable_clockwise,
     linear_extensions,
     parking_to_game,
     primary_edges,
     replay,
-    successor_cycle,
     tree_to_canonical_game,
     variant_counts,
 )
+from planted_sprouts.enumeration import count_plays_recursive
+from planted_sprouts.factorizations import compose_in_order, enumerate_factorizations, successor_cycle
+from planted_sprouts.trees import find_primary_edge, is_pivotable_clockwise
 
 from helpers import all_plays, all_trees
 

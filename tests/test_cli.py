@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planted_sprouts import endstate_to_tree, enumeration, play_from_text, replay
+from planted_sprouts import NoncrossingTree, endstate_to_tree, enumeration, game, play_from_text, replay
 from planted_sprouts.cli import main
+from planted_sprouts.formats import write
 
 from helpers import SerialPool
 
@@ -57,6 +58,17 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert len(lines) == 12
         assert all(json.loads(line)["n"] == 4 for line in lines)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_endstates_are_the_plays_endstates(self, capsys, n):
+        # the listing the command made from the play walk: every play's arc
+        # set once, in order of sorted edge list
+        signatures = {frozenset(arcs) for arcs, _ in game._walk_plays(n)}
+        listed = [NoncrossingTree(n, sig) for sig in sorted(signatures, key=sorted)]
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "enumerate-endstates", str(n), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == "".join(write(tree, fmt) for tree in listed)
 
 
 class TestConversions:

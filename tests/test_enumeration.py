@@ -11,7 +11,6 @@ from planted_sprouts import (
     cli,
     count_endstates,
     count_plays,
-    count_plays_recursive,
     enumeration,
     enumerate_games,
     game,
@@ -25,6 +24,7 @@ from planted_sprouts import (
     variant_counts,
     verify_all,
 )
+from planted_sprouts.enumeration import count_plays_recursive
 
 from helpers import SerialPool, all_plays, all_trees
 
@@ -228,14 +228,21 @@ class TestVerifyAll:
             ("game_to_parking", "parking_round_trip"),
             ("tree_to_canonical_game", "realization_round_trip"),
             ("games_with_endstate", "poset_linear_extensions"),
+            ("count_endstates", "endstate_count"),
+            ("is_noncrossing_tree", "signatures_are_noncrossing_trees"),
+            ("_parking_flags", "parking_image"),
+            ("find_primary_edge", "primary_edge_coherence"),
+            ("count_plays_recursive", "play_count_recursion"),
         ],
     )
     def test_wrong_map_fails_only_its_check(self, monkeypatch, capsys, name, check):
         # wrong on the last play or tree enumerated only, which with jobs is in the
-        # last part; every check runs at n=5, the ones named here among them
+        # last part, on the star at vertex 1, on the first parking function or in
+        # a count; every check runs at n=5, the ones named here among them
         right, last = getattr(enumeration, name), list(enumerate_games(5))[-1]
         last_ccw = game_to_transpositions(last).transpositions
         first_tree, *_, last_tree = all_trees(5)
+        star = frozenset((1, k) for k in range(2, 6))
 
         def wrong(obj):
             play = right(obj)
@@ -277,7 +284,26 @@ class TestVerifyAll:
             plays = right(tree)
             return plays[:-1] if tree == last_tree else plays
 
+        def one_more(n):
+            return right(n) + 1
+
+        def rejects_star(n, edges):
+            return frozenset(edges) != star and right(n, edges)
+
+        def clears_first(n):  # the flag of the values 1, 1, 1, 1
+            flags = right(n)
+            flags[0] &= 0xFE
+            return flags
+
+        def off_star(tree, start=1):
+            return (0, 0) if tree.edges == star else right(tree, start)
+
         fakes = {
+            "count_endstates": (one_more,),
+            "count_plays_recursive": (one_more,),
+            "is_noncrossing_tree": (rejects_star,),
+            "_parking_flags": (clears_first,),
+            "find_primary_edge": (off_star,),
             "parking_to_game": (wrong, rejects, reverses),
             "_cycle_steps": (merges,),
             "compose_in_order": (misplaces,),

@@ -9,13 +9,11 @@ from planted_sprouts import (
     ParkingFunction,
     PlaySequence,
     TranspositionSeq,
-    compose_in_order,
-    enumerate_factorizations,
     game_to_transpositions,
     parking_to_game,
-    successor_cycle,
     transpositions_to_game,
 )
+from planted_sprouts.factorizations import compose_in_order, enumerate_factorizations, successor_cycle
 from planted_sprouts.game import _cycle_steps
 from planted_sprouts.formats import seq_from_text, seq_to_text
 

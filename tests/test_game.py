@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,23 +15,35 @@ from planted_sprouts import (
     ParkingFunction,
     PlaySequence,
     TranspositionSeq,
-    endstate_signature,
+    count_endstates,
+    count_plays,
     endstate_to_tree,
+    enumerate_noncrossing_trees,
     game_to_parking,
     game_to_transpositions,
     games_with_endstate,
     legal_moves,
     new_game,
     parking_to_game,
-    play_from_json,
     play_from_text,
-    play_to_json,
     play_to_text,
     replay,
     transpositions_to_game,
     tree_to_canonical_game,
 )
-from planted_sprouts.formats import parking_from_text, read_play, seq_from_text, tree_from_text, write
+from planted_sprouts import game
+from planted_sprouts.formats import (
+    parking_from_text,
+    play_from_json,
+    play_to_json,
+    read_play,
+    seq_from_text,
+    tree_from_text,
+    write,
+)
+from planted_sprouts.enumeration import count_plays_recursive
+from planted_sprouts.factorizations import enumerate_factorizations
+from planted_sprouts.game import endstate_signature
 from helpers import all_plays, all_trees, apply_move, locate_labels, parking_functions, tree_of
 
 
@@ -334,6 +347,17 @@ class TestCanonicalForm:
             with pytest.raises(ValueError):
                 kind(n, relabel(label))
 
+    @pytest.mark.parametrize("kind,n,canonical", CASES)
+    def test_bad_orders_and_fields_raise_value_errors(self, kind, n, canonical):
+        # the order is checked once, by game._order, before the field is read
+        message = "not a noncrossing tree" if kind is NoncrossingTree else "game order must be"
+        for order in (0, -1, True, 1.0, "1", str(n), None):
+            for field in ((), canonical):
+                with pytest.raises(ValueError, match=message):
+                    kind(order, field)
+        with pytest.raises(ValueError):
+            kind(n, 5)
+
     def test_bad_input_messages_name_what_was_given(self):
         with pytest.raises(ValueError, match=r"got \[1, 'x'\]"):
             PlaySequence(3, [[1, "x"]])
@@ -341,6 +365,37 @@ class TestCanonicalForm:
             ParkingFunction(4, [1, 1, 5])
         with pytest.raises(ValueError, match=r"\[\(1, 2\), \(1, 2\)\]"):
             NoncrossingTree(3, [(1, 2), (1, 2)])
+        for make, message in (
+            (lambda: PlaySequence(3, 5), "moves must be an iterable of pairs, got 5"),
+            (lambda: TranspositionSeq(3, 5), "transpositions must be an iterable of pairs, got 5"),
+            (lambda: ParkingFunction(3, 5), "not a parking function of length 2: 5"),
+            (lambda: PlaySequence("3", ((1, 2),)), "game order must be positive, got '3'"),
+            (lambda: ParkingFunction("3", (1, 1)), "game order must be positive, got '3'"),
+            (lambda: TranspositionSeq(1.0, ()), "game order must be positive, got 1.0"),
+            (lambda: PlaySequence(0, ()), "game order must be positive, got 0"),
+            (lambda: NoncrossingTree(True, ()), "not a noncrossing tree on True vertices: []"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make()
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        new_game,
+        lambda n: next(game._walk_plays(n)),
+        count_plays,
+        count_plays_recursive,
+        count_endstates,
+        enumerate_noncrossing_trees,
+        enumerate_factorizations,
+    ],
+)
+def test_every_order_is_checked_alike(count):
+    for order in (0, -2, True, 2.0, "2"):
+        message = f"game order must be positive, got {order!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count(order)
 
 
 def assert_as_constructed(made):

@@ -15,14 +15,13 @@ from planted_sprouts import (
     count_endstates,
     endstate_to_tree,
     enumerate_noncrossing_trees,
-    find_primary_edge,
     is_noncrossing_tree,
-    is_pivotable_clockwise,
     primary_edges,
     replay,
     tree_to_canonical_game,
     tree_to_dot,
 )
+from planted_sprouts.trees import find_primary_edge, is_pivotable_clockwise
 from planted_sprouts import poset, trees
 from planted_sprouts.formats import _from_json, edges_to_json
 from planted_sprouts.game import PlaySequence
