@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PlaySequence, _ccw_pairs, _made, _order, _pairs
+from .game import PlaySequence, _ccw_pairs, _made, _order, _pairs, _sorted
 
 
 def successor_cycle(n: int) -> tuple:
@@ -52,7 +52,7 @@ class TranspositionSeq:
 
     @classmethod
     def of(cls, n: int, pairs) -> "TranspositionSeq":
-        return cls(n=n, transpositions=tuple(tuple(sorted(p)) for p in pairs))
+        return cls(n=n, transpositions=_sorted(pairs))
 
 
 def game_to_transpositions(play: PlaySequence) -> TranspositionSeq:
@@ -88,8 +88,6 @@ def enumerate_factorizations(n: int):
     product is the successor cycle.  Candidate space is C(n,2)^(n-1), so keep
     n small (n <= 5 is instant)."""
     _order(n)
-    if n == 1:
-        return [TranspositionSeq(1, ())]
     target = successor_cycle(n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     out = []

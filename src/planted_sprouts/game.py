@@ -87,6 +87,16 @@ def _pairs(n: int, pairs, noun: str) -> tuple:
     return pairs if canonical else tuple([(int(a), int(b)) for a, b in pairs])
 
 
+def _sorted(pairs):
+    """`pairs` read once, as a list of sorted pairs, or as read if they cannot
+    be sorted and as given if not iterable, for `_pairs` to reject."""
+    pairs = list(pairs) if hasattr(pairs, "__iter__") else pairs  # a generator, read once
+    try:
+        return [(b, a) if b < a else (a, b) for a, b in pairs]
+    except (TypeError, ValueError):
+        return pairs
+
+
 def _made(cls, n: int, field: str, value):
     """A value object of `cls` with fields n and `field`, made without its
     `__post_init__`: the trusted path by which a map builds its output.  The
@@ -119,14 +129,12 @@ class PlaySequence:
     @classmethod
     def of(cls, n: int, pairs) -> "PlaySequence":
         """The play of the given label pairs, each put in sorted order."""
-        return cls(n=n, moves=tuple([(b, a) if b < a else (a, b) for a, b in pairs]))
+        return cls(n=n, moves=_sorted(pairs))
 
 
 def new_game(n: int) -> GameState:
     """Initial state: one subgame with arms 1..n in clockwise order."""
-    _order(n)
-    subgame = tuple((k, k) for k in range(1, n + 1))
-    return GameState(n=n, subgames=(subgame,), history=())
+    return replay(PlaySequence(n, ()))
 
 
 def legal_moves(state: GameState):
@@ -222,52 +230,42 @@ def _ccw_pairs(play: PlaySequence) -> tuple:
 def _walk_plays(n: int, first_arc=None):
     """Every complete play of order n as (arcs, ccw pairs), each a tuple of
     sorted pairs, depth first with arcs in lexicographic order at each stage.
-    `first_arc` prunes the root to one move.  A region's labels increase
-    clockwise but for one descent, so the arcs (x, y), y > x, open at x are
-    nxt[x], nxt[nxt[x]], ... while above x.  The path of arcs is the stack:
-    undoing its last arc (x, y) resumes the stage below at y's successor.
-    After n-2 moves one region of two arms x < nxt[x] is left, and the last
-    move joins them; its ccw pair is its own arc."""
+    A region's labels increase clockwise but for one descent, so the arcs
+    (x, y), y > x, open at x are nxt[x], nxt[nxt[x]], ... while above x.  The
+    scan starts at `first_arc`, or (1, 2), and the path of arcs is the stack:
+    undoing its last arc (x, y) resumes the stage below at y's successor.  At
+    depth n-2 one region of two arms x < nxt[x] is left: the scan finds the
+    last move, whose ccw pair is its own arc.  The walk ends when the scan
+    runs out at the root, or once the given first arc is undone."""
     _order(n)
+    if n == 1:
+        yield (), ()
+        return
+    x, y = first_arc or (1, 2)
+    if not 1 <= x < y <= n:
+        return
     arms = _Arms(n)
     nxt, join = arms.nxt, arms.join
-    path, pairs, floor = [], [], 0
-    if first_arc is not None and n > 1:
-        x, y = first_arc
-        if not 1 <= x < y <= n:
-            return
-        pairs.append(join(x, y))
-        path.append((x, y))
-        floor = 1
-    if len(path) >= n - 2:  # n <= 2, or n = 3 with its first arc given
-        if len(path) == n - 2:  # arms 1 and nxt[1] are left, or else 2 and 3
-            x = 1 if nxt[1] > 1 else 2
-            path.append((x, nxt[x]))
-            pairs.append((x, nxt[x]))
-        yield tuple(path), tuple(pairs)
-        return
-    x, y = 1, nxt[1]
+    path, pairs = [], []
     while True:
         if y > x:
-            pairs.append(join(x, y))
-            path.append((x, y))
             if len(path) < n - 2:
+                pairs.append(join(x, y))
+                path.append((x, y))
                 x, y = 1, nxt[1]
                 continue
-            x = 1
-            while nxt[x] <= x:
-                x += 1
-            last = (x, nxt[x])
-            yield (*path, last), (*pairs, last)
+            yield (*path, (x, y)), (*pairs, (x, y))
         elif x < n:
             x += 1
             y = nxt[x]
             continue
-        elif len(path) == floor:
+        if not path:
             return
         x, y = path.pop()
         pairs.pop()
         join(x, y)
+        if first_arc and not path:
+            return
         y = nxt[y]
 
 

@@ -16,10 +16,15 @@ from .game import PlaySequence, _ccw_pairs, _made, _order
 
 
 def is_parking_function(n: int, values) -> bool:
-    """Length n-1, integer entries in 1..n-1, and sorted entries satisfy
-    a'_k <= k, which holds iff for every k at least k entries are at most k:
-    read from the counts of the values, in O(n)."""
-    values = tuple(values)
+    """An int order, length n-1, integer entries in 1..n-1, and sorted entries
+    satisfy a'_k <= k, which holds iff for every k at least k entries are at
+    most k: read from the counts of the values, in O(n)."""
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+        return False
+    try:
+        values = tuple(values)
+    except TypeError:
+        return False
     m = len(values)
     if m != n - 1 or not all(map(isinstance, values, repeat(int))):
         return False
@@ -38,12 +43,11 @@ class ParkingFunction:
 
     def __post_init__(self):
         _order(self.n)
-        values = self.values
         try:
-            values = values if type(values) is tuple else tuple(values)  # read once
-        except TypeError:
+            values = self.values if type(self.values) is tuple else tuple(self.values)  # read once
+        except TypeError:  # not iterable: no parking function
             values = None
-        if values is None or not is_parking_function(self.n, values):
+        if not is_parking_function(self.n, values):
             raise ValueError(f"not a parking function of length {self.n - 1}: {self.values}")
         if bool in map(type, values):  # accepted as 0 < True <= m, stored as ints
             values = tuple(map(int, values))

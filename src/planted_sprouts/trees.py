@@ -12,7 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .game import PlaySequence, _made, _order, _pairs, endstate_signature
+from .game import PlaySequence, _made, _order, _pairs, _sorted, endstate_signature
 
 
 def _ccw_neighbours(n, edges) -> list:
@@ -52,7 +52,7 @@ def is_noncrossing_tree(n: int, edges) -> bool:
     interleaving cyclically: iff `NoncrossingTree.from_edges` accepts them."""
     try:
         NoncrossingTree.from_edges(n, edges)
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: raised by the caller's own iterator
         return False
     return True
 
@@ -105,15 +105,8 @@ class NoncrossingTree:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "NoncrossingTree":
-        """The tree of the given edges, each pair put in sorted order.  Edges
-        that cannot be sorted are no pairs of integer labels, or no edges at
-        all, and are passed on as given for the constructor to reject."""
-        try:
-            edges = list(edges)  # a generator, read once
-            edges = [(b, a) if b < a else (a, b) for a, b in edges]
-        except (TypeError, ValueError):
-            pass
-        return cls(n=n, edges=edges)
+        """The tree of the given edges, each pair put in sorted order."""
+        return cls(n=n, edges=_sorted(edges))
 
 
 def endstate_to_tree(state) -> NoncrossingTree:
@@ -148,7 +141,7 @@ def find_primary_edge(tree: NoncrossingTree, start: int = 1):
     which happens exactly at a primary edge."""
     if tree.n < 2:
         raise ValueError("a tree with fewer than 2 vertices has no edges")
-    if not 1 <= start <= tree.n:
+    if isinstance(start, bool) or not isinstance(start, int) or not 1 <= start <= tree.n:
         raise ValueError(f"start vertex must be in 1..{tree.n}")
     nb = _tree_ccw(tree)
     v = start

@@ -77,6 +77,16 @@ class TestEnumerateGames:
         digest = hashlib.sha256(repr(plays).encode()).hexdigest()
         assert digest == "d3cb56d0c637c4b43c83741305f0faa02b7d910c984b79efcf9aa8b3a49f2425"
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_part_sizes_are_the_split_recursion_terms(self, n):
+        # the plays whose first arc (i, j) has gap g = j - i number the term
+        # C(n-2, g-1) b_g b_(n-g) of count_plays_recursive's split recursion
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                g = j - i
+                term = math.comb(n - 2, g - 1) * count_plays(g) * count_plays(n - g)
+                assert sum(1 for _ in game._walk_plays(n, (i, j))) == term, (i, j)
+
     def test_walk_of_order_one_and_bad_first_arcs(self):
         assert list(game._walk_plays(1)) == [((), ())]
         for arc in ((2, 1), (1, 1), (0, 2), (3, 5)):
@@ -322,6 +332,58 @@ class TestVerifyAll:
         assert cli.main(["verify", "5"]) == 1
         out = capsys.readouterr().out
         assert f"FAIL  {check}" in out and "overall: FAIL" in out
+
+    @pytest.mark.parametrize(
+        "name,failing",
+        [
+            ("enumerate_noncrossing_trees", {"tree_bijection_image"}),
+            (
+                "count_plays",
+                {"play_count_power", "play_count_recursion", "poset_linear_extensions"},
+            ),
+            (
+                "_walk_plays",
+                {
+                    "parking_injective",
+                    "parking_image",
+                    "endstate_count",
+                    "factorization_image",
+                    "tree_bijection_image",
+                },
+            ),
+        ],
+        ids=["tree_bijection_image", "play_count_power", "parking_injective"],
+    )
+    def test_shared_fault_fails_exactly_these_checks(self, monkeypatch, name, failing):
+        # faults in what several checks read: each fails exactly the checks in
+        # the README's audit table, serially and with jobs 2 (SerialPool runs
+        # the parts in this process, as fork would with the fake in place)
+        right = getattr(enumeration, name)
+
+        def first_tree_last(n):  # the first tree in place of the last
+            trees = right(n)
+            return [*trees[:-1], trees[0]]
+
+        def one_more(n):
+            return right(n) + 1
+
+        def first_play_last(n, first_arc=None):  # the last play of the last part
+            plays = list(right(n, first_arc))
+            if first_arc in (None, (n - 1, n)):
+                plays[-1] = next(right(n))
+            return iter(plays)
+
+        fakes = {
+            "enumerate_noncrossing_trees": first_tree_last,
+            "count_plays": one_more,
+            "_walk_plays": first_play_last,
+        }
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(enumeration, name, fakes[name])
+        for jobs in (1, 2):
+            report = verify_all(5, jobs=jobs)
+            assert len(report.checks) == 15 and not report.passed
+            assert {check for check, ok in report.checks if not ok} == failing
 
     def test_checks_read_only_what_they_need(self, monkeypatch):
         def unused(*args):

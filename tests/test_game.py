@@ -22,6 +22,8 @@ from planted_sprouts import (
     game_to_parking,
     game_to_transpositions,
     games_with_endstate,
+    is_noncrossing_tree,
+    is_parking_function,
     legal_moves,
     new_game,
     parking_to_game,
@@ -358,6 +360,31 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             kind(n, 5)
 
+    def test_a_callers_iterator_error_passes_constructors_and_fails_predicates(self):
+        # the pair sorter passes on as given only input that is no iterable, so an
+        # error raised while reading the caller's iterator builds no other value
+        def pairs():
+            yield (1, 2)
+            raise TypeError("from the caller")
+
+        for make in (PlaySequence.of, TranspositionSeq.of, NoncrossingTree.from_edges):
+            with pytest.raises(TypeError, match="^from the caller$"):
+                make(3, pairs())
+        assert not is_noncrossing_tree(3, pairs())
+        assert not is_parking_function(3, (v for v, _ in pairs()))
+
+    def test_parking_predicate_agrees_with_its_constructor(self):
+        # is_parking_function is True exactly when ParkingFunction constructs
+        fields = ((), (1, 1), 5, None, (True, 1), (1.0, 1), ("1", 1), (None, 1))
+        for order in (0, -1, True, 1.0, "1", "3", None, 1, 3):
+            for values in fields:
+                try:
+                    ParkingFunction(order, values)
+                    made = True
+                except ValueError:
+                    made = False
+                assert is_parking_function(order, values) is made, (order, values)
+
     def test_bad_input_messages_name_what_was_given(self):
         with pytest.raises(ValueError, match=r"got \[1, 'x'\]"):
             PlaySequence(3, [[1, "x"]])
@@ -374,6 +401,19 @@ class TestCanonicalForm:
             (lambda: TranspositionSeq(1.0, ()), "game order must be positive, got 1.0"),
             (lambda: PlaySequence(0, ()), "game order must be positive, got 0"),
             (lambda: NoncrossingTree(True, ()), "not a noncrossing tree on True vertices: []"),
+            # the pair sorter of `.of` and `from_edges` passes what it cannot sort on as given
+            (lambda: PlaySequence.of(3, [1]), "move 1 is not a pair of labels"),
+            (lambda: PlaySequence.of(3, 5), "moves must be an iterable of pairs, got 5"),
+            (lambda: PlaySequence.of(3, [(2, "1")]), "move labels must be integers, got (2, '1')"),
+            (lambda: TranspositionSeq.of(3, [1, 2]), "transposition 1 is not a pair of labels"),
+            (
+                lambda: TranspositionSeq.of(3, [(1, "2"), (2, 3)]),
+                "transposition labels must be integers, got (1, '2')",
+            ),
+            (
+                lambda: NoncrossingTree.from_edges(3, [1, 2]),
+                "not a noncrossing tree on 3 vertices: [1, 2]",
+            ),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 make()

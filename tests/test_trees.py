@@ -221,6 +221,13 @@ class TestFindPrimaryEdge:
         for start in range(1, 9):
             assert find_primary_edge(EIGHT_VERTEX_TREE, start=start) in prim
 
+    def test_bad_trees_and_starts_raise_value_errors(self):
+        with pytest.raises(ValueError, match="^a tree with fewer than 2 vertices has no edges$"):
+            find_primary_edge(NoncrossingTree(1, ()))
+        for start in (0, 9, -1, "1", 1.5, True, None):
+            with pytest.raises(ValueError, match=r"^start vertex must be in 1\.\.8$"):
+                find_primary_edge(EIGHT_VERTEX_TREE, start)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_terminates_at_primary_from_every_start(self, n):
         for tree in all_trees(n):
