@@ -32,7 +32,7 @@ class IllegalMoveError(ValueError):
 class MoveRecord:
     """One move: its arc label, the counterclockwise-neighbor pair captured
     in the subgame the move was made in (that subgame is destroyed by the
-    move, so the pair is recorded eagerly), and the joined arms' long labels.
+    move, so the pair is recorded eagerly), and the long labels of arms i, j.
     The arc label and the ccw pair are sorted pairs (i, j), i < j.
     """
 
@@ -43,6 +43,8 @@ class MoveRecord:
 
 @dataclass(frozen=True)
 class GameState:
+    """Subgames in increasing order of least label, each clockwise from it."""
+
     n: int
     subgames: tuple  # tuple of subgames; each subgame is a tuple of (short, long) arms
     history: tuple  # tuple of MoveRecord
@@ -138,7 +140,8 @@ def new_game(n: int) -> GameState:
 
 
 def legal_moves(state: GameState):
-    """All (subgame index, (p, q)) position pairs; empty iff the state is complete."""
+    """All (subgame index, (p, q)) position pairs, p < q, in the regions as the
+    state lists them; empty iff the state is complete."""
     out = []
     for si, sg in enumerate(state.subgames):
         m = len(sg)
@@ -157,8 +160,8 @@ class _Arms:
     a = prv[i] and b = prv[j]: nxt is composed with the transposition (a b),
     which splits the cycle in two when i and j share a region (see
     `_cycle_steps`).  The ccw pair is read there only, and joining i and j
-    again undoes the move.  Region ids are kept by `replay` alone.  The join
-    is also written out on local lists in `_ccw_pairs`, the per-play hot path.
+    again undoes the move.  Regions have no ids.  The join is also written
+    out on local lists in `_ccw_pairs`, the per-play hot path.
     """
 
     __slots__ = ("nxt", "prv")
@@ -273,53 +276,36 @@ def replay(play: PlaySequence) -> GameState:
     """Replay a play from the initial state; raises IllegalMoveError at the
     first move whose labels lie in different regions.
 
-    The moves run on `_Arms` and the state is built once, at the end.
-    region[x] is a region id, and a split gives its smaller side the next
-    id, found by walking both sides at once: O(n log n) over a play.  Of a
-    split region, the side whose joined arm comes first from the region's
-    head keeps the region's slot in the subgame order, the other side takes
-    a new slot after it, and each side's head is its joined arm.
+    The moves run on `_Arms`.  After each join the new regions of i and j are
+    walked at once until one closes, so a move costs its smaller side: O(n
+    log n) over a play.  A walk that meets the other arm shares a cycle with
+    it, so the join merged two regions and the move is illegal.  Each new
+    arm's long label is its old one paired with the other arm's.  The state
+    is read off `nxt` once, at the end: a region's labels increase clockwise
+    from its least one, which is the one k with prv[k] >= k.
     """
     arms = _Arms(play.n)
-    nxt, join = arms.nxt, arms.join
-    region = [0] * (play.n + 1)
+    nxt, prv, join = arms.nxt, arms.prv, arms.join
     long = list(range(play.n + 1))
-    slot = [0]  # each region id's slot
-    head, after = [1], [None]  # each slot's first arm and the slot after it
     history = []
     for index, (i, j) in enumerate(play.moves):
-        if region[i] != region[j]:
-            raise _illegal(play, index)
         ccw = join(i, j)
         x, y = nxt[i], nxt[j]
         while x != i and y != j:
+            if x == j or y == i:
+                raise _illegal(play, index)
             x, y = nxt[x], nxt[y]
-        start = i if x == i else j
-        new = region[start] = len(slot)
-        x = nxt[start]
-        while x != start:
-            region[x], x = new, nxt[x]
-        s = slot[region[j] if region[i] == new else region[i]]
-        h = head[s]
-        first = i if h == i or (region[h] == region[j] and h != j) else j
-        second = i + j - first
-        pair = long[first], long[second]
-        long[first], long[second] = pair, pair[::-1]
+        pair = long[i], long[j]
+        long[i], long[j] = pair, pair[::-1]
         history.append(MoveRecord((i, j), ccw, pair))
-        slot.append(None)
-        slot[region[first]], slot[region[second]] = s, len(head)
-        head.append(second)
-        after.append(after[s])
-        head[s], after[s] = first, len(head) - 1
-    subgames, s = [], 0
-    while s is not None:
-        x = head[s]
-        subgame = [(x, long[x])]
-        while nxt[x] != head[s]:
-            x = nxt[x]
-            subgame.append((x, long[x]))
-        subgames.append(tuple(subgame))
-        s = after[s]
+    subgames = []
+    for k in range(1, play.n + 1):
+        if prv[k] >= k:
+            subgame, x = [(k, long[k])], nxt[k]
+            while x != k:
+                subgame.append((x, long[x]))
+                x = nxt[x]
+            subgames.append(tuple(subgame))
     return GameState(n=play.n, subgames=tuple(subgames), history=tuple(history))
 
 

@@ -128,7 +128,7 @@ def is_pivotable_clockwise(tree: NoncrossingTree, edge) -> bool:
     """True iff either endpoint of the edge can swing clockwise onto another
     tree edge, i.e. the other endpoint is not its first ccw neighbour.  Edges
     that cannot are exactly the primary ones."""
-    e = (min(edge), max(edge))
+    (e,) = _pairs(tree.n, _sorted([edge]), "edge")  # as `from_edges` reads an edge
     if e not in tree.edges:
         raise ValueError(f"edge {e} is not in the tree")
     nb = _tree_ccw(tree)

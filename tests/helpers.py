@@ -48,8 +48,9 @@ def pollak_shift(n, seq):
 
 
 def apply_move(state: GameState, subgame_index: int, p: int, q: int) -> GameState:
-    """The reference fold that `replay` must match: join the arms at
-    positions p < q of one subgame, splitting it in two.
+    """The reference fold that `replay` must match, once re-listed by
+    `canonical_state`: join the arms at positions p < q of one subgame,
+    splitting it in two.
 
     With joined arms carrying short labels i, j and long labels L_i, L_j,
     the two replacement subgames are (new arm i, arms strictly between p
@@ -76,6 +77,31 @@ def apply_move(state: GameState, subgame_index: int, p: int, q: int) -> GameStat
     )
     record = MoveRecord(arc_label=arc, ccw_pair=ccw, long_pair=(long_i, long_j))
     return GameState(n=state.n, subgames=subgames, history=state.history + (record,))
+
+
+def short_of(long):
+    """The short label of an arm with this long label: a new arm's long label
+    is its old one paired with the other arm's, so first entries lead back to
+    the original arm."""
+    while not isinstance(long, int):
+        long = long[0]
+    return long
+
+
+def canonical_state(state: GameState) -> GameState:
+    """`state` in the layout `replay` gives: its regions in increasing order
+    of least short label, each rotated to start at that label, and each move's
+    `long_pair` in the order of its arc label."""
+    subgames = []
+    for sg in state.subgames:
+        p = sg.index(min(sg))  # short labels differ, so min compares no long label
+        subgames.append(sg[p:] + sg[:p])
+    history = tuple(
+        rec if short_of(rec.long_pair[0]) == rec.arc_label[0]
+        else MoveRecord(rec.arc_label, rec.ccw_pair, rec.long_pair[::-1])
+        for rec in state.history
+    )
+    return GameState(n=state.n, subgames=tuple(sorted(subgames)), history=history)
 
 
 def locate_labels(state: GameState) -> dict:

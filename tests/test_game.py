@@ -46,7 +46,16 @@ from planted_sprouts.formats import (
 from planted_sprouts.enumeration import count_plays_recursive
 from planted_sprouts.factorizations import enumerate_factorizations
 from planted_sprouts.game import endstate_signature
-from helpers import all_plays, all_trees, apply_move, locate_labels, parking_functions, tree_of
+from helpers import (
+    all_plays,
+    all_trees,
+    apply_move,
+    canonical_state,
+    locate_labels,
+    parking_functions,
+    short_of,
+    tree_of,
+)
 
 
 def shorts(state):
@@ -161,7 +170,8 @@ class TestReplay:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ccw_pairs_agree_with_replay(self, n, extra):
         # every sequence of n-1 (extra 0) or n (extra 1) sorted pairs: the
-        # bijections read ccw pairs by the split test, replay by region ids
+        # bijections read ccw pairs by the split test, replay by its walk of
+        # both new regions
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for moves in itertools.product(pairs, repeat=n - 1 + extra):
             play = PlaySequence(n, moves)
@@ -239,13 +249,32 @@ def test_state_invariants_exhaustive(n):
             # no repeated arc labels
             assert state.history[-1].arc_label not in seen_arcs
             seen_arcs.add(state.history[-1].arc_label)
-            # replaying the prefix, complete or not, gives the same state
-            assert replay(PlaySequence(n, play.moves[: k + 1])) == state
+            # replaying the prefix, complete or not, gives the same state,
+            # listed in its canonical layout
+            assert replay(PlaySequence(n, play.moves[: k + 1])) == canonical_state(state)
         assert state.is_complete()
         assert len(state.history) == n - 1
         # replaying the history arc labels reproduces the state exactly
         again = replay(PlaySequence(n, tuple(rec.arc_label for rec in state.history)))
-        assert again == state
+        assert again == canonical_state(state)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_replay_layout_is_canonical(n):
+    # no region and no arm comes first in the game; `replay` lists regions in
+    # increasing order of least label, each region's arms increasing, which
+    # is clockwise from its least label, and each long_pair in arc order
+    for play in all_plays(n):
+        for k in range(n):
+            state = replay(PlaySequence(n, play.moves[:k]))
+            firsts = [sg[0][0] for sg in state.subgames]
+            assert firsts == sorted(firsts) and len(firsts) == k + 1, (play, k)
+            for sg in state.subgames:
+                labels = [short for short, _ in sg]
+                assert labels == sorted(labels), (play, k)
+                assert all(short_of(long) == short for short, long in sg), (play, k)
+            for rec in state.history:
+                assert tuple(map(short_of, rec.long_pair)) == rec.arc_label, (play, k)
 
 
 class TestSerialization:

@@ -204,6 +204,33 @@ class TestPivot:
         with pytest.raises(ValueError):
             is_pivotable_clockwise(EIGHT_VERTEX_TREE, (1, 2))
 
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((1, 2), "edge (1, 2) is not in the tree"),
+            ((1, 2, 3), "edge (1, 2, 3) is not a pair of labels"),
+            (5, "edge 5 is not a pair of labels"),
+            (None, "edge None is not a pair of labels"),
+            ((1, 3.0), "edge labels must be integers, got (1, 3.0)"),
+            (("1", 2), "edge labels must be integers, got ('1', 2)"),
+            ((0, 5), "edge 0-5 is not a pair of distinct labels in 1..3"),
+            ((2, 2), "edge 2-2 is not a pair of distinct labels in 1..3"),
+        ],
+    )
+    def test_malformed_edge_message(self, edge, message):
+        # the edge is read as `from_edges` reads one, so a triple is not
+        # taken for its first and last labels
+        tree = NoncrossingTree.from_edges(3, [(1, 3), (2, 3)])
+        with pytest.raises(ValueError) as exc:
+            is_pivotable_clockwise(tree, edge)
+        assert str(exc.value) == message
+
+    def test_edge_read_in_either_order(self):
+        tree = NoncrossingTree.from_edges(3, [(1, 3), (2, 3)])
+        for edge in [(1, 3), (3, 1), [3, 1], (True, 3)]:
+            assert is_pivotable_clockwise(tree, edge)
+        assert not is_pivotable_clockwise(tree, (3, 2))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_pivotable_iff_not_primary(self, n):
         for tree in all_trees(n):
