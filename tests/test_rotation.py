@@ -5,9 +5,9 @@ and every pair the maps read (arcs, ccw pairs, tree edges, poset covers)
 into the turned pair, sorted again.  The oracle is the relabelling alone, so
 it shares no code with the engine.  `replay` lists a state canonically, by
 least label, so the turned play's state equals the turned state exactly.
-(The mirror k -> n+1-k is no symmetry: the notch's two new arms swap sides.
-Parking values do not simply shift either, since a ccw pair that wraps past
-n gets the value 1.)
+(The mirror k -> n+1-k is not a symmetry of the labels: it makes every play
+at n = 3..7 illegal.  Parking values do not simply shift either, since a ccw
+pair that wraps past n gets the value 1.)
 """
 
 import pytest
