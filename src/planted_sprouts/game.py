@@ -158,17 +158,16 @@ class _Arms:
     before, so each region is a cycle of nxt, starting from k -> k+1 (mod n).
     Joining arms i and j swaps the successors of their ccw neighbours
     a = prv[i] and b = prv[j]: nxt is composed with the transposition (a b),
-    which splits the cycle in two when i and j share a region (see
-    `_cycle_steps`).  The ccw pair is read there only, and joining i and j
-    again undoes the move.  Regions have no ids.  The join is also written
-    out on local lists in `_ccw_pairs`, the per-play hot path.
+    which splits the cycle in two when i and j share a region and merges two
+    cycles otherwise.  This is the one join: the ccw pair is read there only,
+    and joining i and j again undoes the move.  Regions have no ids.
     """
 
     __slots__ = ("nxt", "prv")
 
     def __init__(self, n: int):
-        self.nxt = [1] + list(range(2, n + 1)) + [1]
-        self.prv = [n, n] + list(range(1, n))
+        self.nxt = [1, *range(2, n + 1), 1]
+        self.prv = [n, n, *range(1, n)]
 
     def join(self, i: int, j: int):
         """Join arms i and j of one region; return their ccw pair, sorted."""
@@ -181,8 +180,8 @@ class _Arms:
 
 def _cycle_steps(n: int, transpositions):
     """The change, +1 or -1, in the cycle count of successor-cycle ∘ t_1 ∘
-    ... ∘ t_k at each k, for any pairs a < b of labels in 1..n: the one
-    split walk.
+    ... ∘ t_k at each k, for any pairs a < b of labels in 1..n: the split
+    walk of the `cycle_growth` check, apart from the move loop `_joins`.
 
     Composing with (a b) changes the cycle count by exactly one: it splits
     the cycle holding a if b is on it, and merges the cycles of a and b
@@ -211,23 +210,31 @@ def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
     return IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
 
 
-def _ccw_pairs(play: PlaySequence) -> tuple:
-    """The sorted ccw pair of every move of a complete legal play, made by
-    `join` alone, with no region ids.  n-1 joins end at the identity iff
-    every one split a region (see `_cycle_steps`); otherwise the first join
-    that merged two regions is the first illegal move."""
-    n = play.n
-    if len(play.moves) < n - 1:  # before any array of size n; a longer play fails at move n
-        raise ValueError("play is not complete")
-    nxt, prv, pairs = [1, *range(2, n + 1), 1], [n, n, *range(1, n)], []
-    for i, j in play.moves:  # `_Arms.join`
-        a, b = prv[i], prv[j]
-        nxt[a], nxt[b] = j, i
-        prv[i], prv[j] = b, a
-        pairs.append((a, b) if a < b else (b, a))
-    if len(pairs) != n - 1 or nxt[1:] != list(range(1, n + 1)):
-        raise _illegal(play, [*_cycle_steps(n, pairs)].index(-1))
+def _joins(play: PlaySequence, arms: _Arms) -> tuple:
+    """Join the moves of `play` on `arms`, from the initial state, and return
+    their sorted ccw pairs: the one move loop of `replay` and the maps.
+    After each join the new regions of i and j are walked at once until one
+    closes, so a move costs its smaller side: O(n log n) over a play.  A
+    walk that meets the other arm shares a cycle with it, so the join merged
+    two regions, and the move is the first illegal one."""
+    nxt, join, pairs = arms.nxt, arms.join, []
+    for i, j in play.moves:
+        pairs.append(join(i, j))
+        x, y = nxt[i], nxt[j]
+        while x != i and y != j:
+            if x == j or y == i:
+                raise _illegal(play, len(pairs) - 1)
+            x, y = nxt[x], nxt[y]
     return tuple(pairs)
+
+
+def _ccw_pairs(play: PlaySequence) -> tuple:
+    """The sorted ccw pair of every move of a complete legal play, by
+    `_joins`.  A legal play of n-1 moves leaves one arm in each region, so
+    a longer play fails at move n at the latest."""
+    if len(play.moves) < play.n - 1:  # before any array of size n
+        raise ValueError("play is not complete")
+    return _joins(play, _Arms(play.n))
 
 
 def _walk_plays(n: int, first_arc=None):
@@ -276,25 +283,16 @@ def replay(play: PlaySequence) -> GameState:
     """Replay a play from the initial state; raises IllegalMoveError at the
     first move whose labels lie in different regions.
 
-    The moves run on `_Arms`.  After each join the new regions of i and j are
-    walked at once until one closes, so a move costs its smaller side: O(n
-    log n) over a play.  A walk that meets the other arm shares a cycle with
-    it, so the join merged two regions and the move is illegal.  Each new
-    arm's long label is its old one paired with the other arm's.  The state
-    is read off `nxt` once, at the end: a region's labels increase clockwise
-    from its least one, which is the one k with prv[k] >= k.
+    The moves run through `_joins` on `_Arms`.  Each new arm's long label is
+    its old one paired with the other arm's.  The state is read off `nxt`
+    once, at the end: a region's labels increase clockwise from its least
+    one, which is the one k with prv[k] >= k.
     """
     arms = _Arms(play.n)
-    nxt, prv, join = arms.nxt, arms.prv, arms.join
+    nxt, prv = arms.nxt, arms.prv
     long = list(range(play.n + 1))
     history = []
-    for index, (i, j) in enumerate(play.moves):
-        ccw = join(i, j)
-        x, y = nxt[i], nxt[j]
-        while x != i and y != j:
-            if x == j or y == i:
-                raise _illegal(play, index)
-            x, y = nxt[x], nxt[y]
+    for (i, j), ccw in zip(play.moves, _joins(play, arms)):
         pair = long[i], long[j]
         long[i], long[j] = pair, pair[::-1]
         history.append(MoveRecord((i, j), ccw, pair))

@@ -169,24 +169,50 @@ class TestReplay:
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ccw_pairs_agree_with_replay(self, n, extra):
-        # every sequence of n-1 (extra 0) or n (extra 1) sorted pairs: the
-        # bijections read ccw pairs by the split test, replay by its walk of
-        # both new regions
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for moves in itertools.product(pairs, repeat=n - 1 + extra):
+        # every sequence of n-1 (extra 0) or n (extra 1) sorted pairs: replay
+        # and both maps share the move loop `game._joins`, so each is held to
+        # the positional fold, which shares no code with it
+        for moves, ccw, error in fold_outcomes(n, n - 1 + extra):
             play = PlaySequence(n, moves)
-            try:
-                expected = tuple(rec.ccw_pair for rec in replay(play).history)
-            except IllegalMoveError as err:
-                expected = (err.index, err.reason)
-            for fn, read in (
-                (game_to_parking, lambda pf: tuple(a for a, _ in expected) == pf.values),
-                (game_to_transpositions, lambda seq: expected == seq.transpositions),
+            for fn, read, expected in (
+                (replay, lambda state: tuple(rec.ccw_pair for rec in state.history), ccw),
+                (game_to_parking, lambda pf: pf.values, ccw and tuple(a for a, _ in ccw)),
+                (game_to_transpositions, lambda seq: seq.transpositions, ccw),
             ):
                 try:
-                    assert read(fn(play)), (fn.__name__, moves)
+                    outcome = read(fn(play)), None
                 except IllegalMoveError as err:
-                    assert (err.index, err.reason) == expected, (fn.__name__, moves)
+                    outcome = None, (err.index, err.reason)
+                assert outcome == (expected, error), (fn.__name__, moves)
+
+
+def fold_outcomes(n, length):
+    """Every sequence of `length` sorted pairs of labels in 1..n, in the order
+    of `itertools.product`, as (moves, ccw pairs, None) when the positional
+    fold `apply_move` plays it, and as (moves, None, (index, reason)) at its
+    first move whose labels it locates in different subgames.  Each prefix
+    is folded once."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+
+    def extend(moves, state, error):
+        if len(moves) == length:
+            yield moves, None if error else tuple(rec.ccw_pair for rec in state.history), error
+            return
+        for i, j in pairs:
+            after, failed = state, error
+            if not error:
+                loc = locate_labels(state)
+                (si, p), (sj, q) = loc[i], loc[j]
+                if si == sj:
+                    after = apply_move(state, si, min(p, q), max(p, q))
+                elif (i, j) in moves:
+                    failed = len(moves), f"arc {i}-{j} repeats an earlier arc"
+                else:
+                    failed = len(moves), f"labels {i} and {j} lie in different subgames"
+            yield from extend(moves + ((i, j),), after, failed)
+
+    start = GameState(n, (tuple((k, k) for k in range(1, n + 1)),), ())
+    yield from extend((), start, None)
 
 
 class TestEndstateSignature:

@@ -16,7 +16,7 @@ from planted_sprouts import (
 )
 from planted_sprouts.formats import parking_from_text, parking_to_text
 
-from helpers import all_plays, parking_functions
+from helpers import all_plays, parking_functions, pollak_shift
 
 
 def brute_force_parking_functions(n):
@@ -190,6 +190,23 @@ def test_round_trip_random_parking_function(data):
     values = tuple(sorted_vals[k] for k in order)
     pf = ParkingFunction(n, values)
     assert game_to_parking(parking_to_game(pf)).values == values
+
+
+def probing_pollak_shift(n, seq):
+    """Pollak's shift with each car probing spot by spot, about n^1.5 steps."""
+    taken = [False] * n
+    for x in seq:
+        while taken[x]:
+            x = (x + 1) % n
+        taken[x] = True
+    empty = taken.index(False)
+    return tuple((x - empty - 1) % n + 1 for x in seq)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_pollak_shift_matches_probing(n):
+    for seq in itertools.product(range(n), repeat=n - 1):
+        assert pollak_shift(n, seq) == probing_pollak_shift(n, seq), seq
 
 
 @settings(deadline=None)
