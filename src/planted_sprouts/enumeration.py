@@ -118,8 +118,8 @@ def _play_stats(n, first_arc, reads):
     """The play count, the play sets and the per-play test verdicts named in
     `reads`, over the plays with a given first arc (or all plays), in one
     loop that reads each play as its arcs and its ccw pairs.  `signatures`
-    holds the plays' arc sets and `factorizations` their ccw pairs, and each
-    test must hold on every play.
+    holds the plays' arc sets and `factorizations` their ccw pairs.  Each
+    test must hold on every play, and is not called again once it fails.
 
     The parking values are not kept as a set: a play's values v_1..v_(n-1)
     are the number sum((v_k - 1) (n-1)^(n-1-k)) in base n-1, and `parkings`
@@ -129,10 +129,10 @@ def _play_stats(n, first_arc, reads):
     `cycle_growth` is the split walk `game._cycle_steps` over the ccw pairs,
     with no TranspositionSeq: every step splits iff the pairs factor the
     successor cycle, so the test implies the product condition."""
-    successor = successor_cycle(n)
+    successor, first = successor_cycle(n), operator.itemgetter(0)
 
     def parking_round_trip(arcs, ccw):
-        values = tuple([a for a, _ in ccw])
+        values = tuple(map(first, ccw))
         back = parking_to_game(ParkingFunction(n, values))
         return back.moves == arcs and game_to_parking(back).values == values
 
@@ -148,6 +148,7 @@ def _play_stats(n, first_arc, reads):
     sets = {name: set() for name in ("signatures", "factorizations") if name in reads}
     signatures, factorizations = sets.get("signatures"), sets.get("factorizations")
     holds = {name: True for name in tests if name in reads}
+    running = [(name, tests[name]) for name in holds]  # the tests that still hold
     if "parkings" in reads:
         sets["parkings"] = bytearray(((n - 1) ** (n - 1) + 7) >> 3)
     flags, base = sets.get("parkings"), n - 1
@@ -163,12 +164,13 @@ def _play_stats(n, first_arc, reads):
             for a, _ in ccw:
                 rank = rank * base + a - 1
             flags[rank >> 3] |= 1 << (rank & 7)
-        for name in holds:
-            if holds[name]:
-                try:  # a map that rejects a play of the walk fails its test
-                    holds[name] = tests[name](arcs, ccw)
-                except ValueError:
-                    holds[name] = False
+        for name, test in running:
+            try:  # a map that rejects a play of the walk fails its test
+                ok = test(arcs, ccw)
+            except ValueError:
+                ok = False
+            if not ok:  # the verdict is in: no further call
+                holds[name], running = False, [entry for entry in running if entry[0] != name]
     return count, sets, holds
 
 

@@ -104,7 +104,7 @@ def _made(cls, n: int, field: str, value):
     `__post_init__`: the trusted path by which a map builds its output.  The
     map checks in its own loop whatever that loop does not guarantee, and
     `value` must already be the canonical form the constructor would store
-    (a tuple of int tuple pairs, or a tuple of ints)."""
+    (int tuple pairs in a tuple or a frozenset, or a tuple of ints)."""
     made = object.__new__(cls)
     object.__setattr__(made, "n", n)
     object.__setattr__(made, field, value)
@@ -159,8 +159,8 @@ class _Arms:
     Joining arms i and j swaps the successors of their ccw neighbours
     a = prv[i] and b = prv[j]: nxt is composed with the transposition (a b),
     which splits the cycle in two when i and j share a region and merges two
-    cycles otherwise.  This is the one join: the ccw pair is read there only,
-    and joining i and j again undoes the move.  Regions have no ids.
+    cycles otherwise.  Joining i and j again undoes the move; regions have no
+    ids.  `_joins` makes the same stores inline, which saves a call per move.
     """
 
     __slots__ = ("nxt", "prv")
@@ -212,14 +212,17 @@ def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
 
 def _joins(play: PlaySequence, arms: _Arms) -> tuple:
     """Join the moves of `play` on `arms`, from the initial state, and return
-    their sorted ccw pairs: the one move loop of `replay` and the maps.
-    After each join the new regions of i and j are walked at once until one
-    closes, so a move costs its smaller side: O(n log n) over a play.  A
-    walk that meets the other arm shares a cycle with it, so the join merged
-    two regions, and the move is the first illegal one."""
-    nxt, join, pairs = arms.nxt, arms.join, []
+    their sorted ccw pairs: the one move loop of `replay` and the maps, with
+    `_Arms.join` written inline.  After each join the new regions of i and j
+    are walked at once until one closes, so a move costs its smaller side:
+    O(n log n) over a play.  A walk that meets the other arm shares a cycle
+    with it, so the join merged two regions: the first illegal move."""
+    nxt, prv, pairs = arms.nxt, arms.prv, []
     for i, j in play.moves:
-        pairs.append(join(i, j))
+        a, b = prv[i], prv[j]
+        nxt[a], nxt[b] = j, i
+        prv[i], prv[j] = b, a
+        pairs.append((a, b) if a < b else (b, a))
         x, y = nxt[i], nxt[j]
         while x != i and y != j:
             if x == j or y == i:

@@ -9,31 +9,37 @@ and the map is invertible move by move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import ge
+from operator import itemgetter, le
 
 from .game import PlaySequence, _ccw_pairs, _made, _order
 
 
+def _parking_values(n: int, values):
+    """`values` read once, as the tuple of ints `ParkingFunction` stores, if
+    they are a parking function of order n, an int; else None.  The one
+    predicate pass: length n-1, int entries (bools and other int subclasses
+    come back as ints), and sorted, 1 <= a'_1 and a'_k <= k."""
+    try:
+        values = values if type(values) is tuple else tuple(values)
+    except TypeError:  # not iterable: no parking function
+        return None
+    if len(values) != n - 1:
+        return None
+    if not set(map(type, values)) <= {int}:
+        if not all(isinstance(v, int) for v in values):
+            return None
+        values = tuple(map(int, values))
+    rising = sorted(values)
+    return values if n < 2 or rising[0] > 0 and all(map(le, rising, range(1, n))) else None
+
+
 def is_parking_function(n: int, values) -> bool:
     """An int order, length n-1, integer entries in 1..n-1, and sorted entries
-    satisfy a'_k <= k, which holds iff for every k at least k entries are at
-    most k: read from the counts of the values, in O(n)."""
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+    satisfy a'_k <= k: False exactly where `ParkingFunction` raises, by the
+    same one pass, in O(n log n)."""
+    if isinstance(n, bool) or not isinstance(n, int):
         return False
-    try:
-        values = tuple(values)
-    except TypeError:
-        return False
-    m = len(values)
-    if m != n - 1 or not all(map(isinstance, values, repeat(int))):
-        return False
-    count = [0] * (m + 1)
-    for v in values:
-        if not 0 < v <= m:
-            return False
-        count[v] += 1
-    return all(map(ge, accumulate(count), range(m + 1)))
+    return _parking_values(n, values) is not None
 
 
 @dataclass(frozen=True)
@@ -43,23 +49,18 @@ class ParkingFunction:
 
     def __post_init__(self):
         _order(self.n)
-        try:
-            values = self.values if type(self.values) is tuple else tuple(self.values)  # read once
-        except TypeError:  # not iterable: no parking function
-            values = None
-        if not is_parking_function(self.n, values):
+        values = _parking_values(self.n, self.values)
+        if values is None:
             raise ValueError(f"not a parking function of length {self.n - 1}: {self.values}")
-        if bool in map(type, values):  # accepted as 0 < True <= m, stored as ints
-            values = tuple(map(int, values))
-        if values is not self.values:  # a tuple, so equal functions compare and hash alike
+        if values is not self.values:  # a tuple of ints, so equal functions compare and hash alike
             object.__setattr__(self, "values", values)
 
 
 def game_to_parking(play: PlaySequence) -> ParkingFunction:
     """The k-th value is the min of the k-th move's counterclockwise pair:
-    a tuple of int labels, checked as a parking function."""
-    values = tuple([a for a, _ in _ccw_pairs(play)])
-    if not is_parking_function(play.n, values):
+    n-1 int labels in 1..n-1, so only a'_k <= k is checked."""
+    values = tuple(map(itemgetter(0), _ccw_pairs(play)))
+    if not all(map(le, sorted(values), range(1, play.n))):
         raise ValueError(f"not a parking function of length {play.n - 1}: {values}")
     return _made(ParkingFunction, play.n, "values", values)
 

@@ -212,7 +212,7 @@ def enumerate_noncrossing_trees(n: int):
     whose vertex lo has largest neighbour k, an edge from past k into
     lo+1..k-1 would cross (lo, k), and cutting (lo, k) parts lo..k into
     lo..m and m+1..k.  So each tree is exactly one union of trees on lo..m,
-    m+1..k and k..hi plus the edge (lo, k).
+    m+1..k and k..hi plus the edge (lo, k), a sorted pair of int labels.
     """
     _order(n)
     trees = {(v, v): [()] for v in range(1, n + 1)}  # edge tuples of each interval
@@ -227,7 +227,8 @@ def enumerate_noncrossing_trees(n: int):
                 for right in trees[m + 1, k]
                 for rest in trees[k, hi]
             ]
-    return [NoncrossingTree(n, frozenset(t)) for t in sorted(trees[1, n], key=sorted)]
+    edge_tuples = sorted(trees[1, n], key=sorted)
+    return [_made(NoncrossingTree, n, "edges", frozenset(t)) for t in edge_tuples]
 
 
 def count_endstates(n: int) -> int:

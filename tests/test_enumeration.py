@@ -29,7 +29,8 @@ from planted_sprouts.enumeration import count_plays_recursive
 from helpers import SerialPool, all_plays, all_trees
 
 
-# verify_all(n).to_json() for n = 1..6 with the default cutoffs, byte for byte.
+# verify_all(n).to_json() for n = 1..7 with the default cutoffs, byte for byte; n = 7
+# is the report of `planted-sprouts verify 7 --format json`.
 DEFAULT_REPORTS = [
     '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 1, "fact_image_size": 1, "formula_a_n": 1, "formula_b_n": 1, "n": 1, "passed": true, "pf_image_size": 1, "plays_enumerated": 1, "recursion_b_n": 1}',
     '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 1, "fact_image_size": 1, "formula_a_n": 1, "formula_b_n": 1, "n": 2, "passed": true, "pf_image_size": 1, "plays_enumerated": 1, "recursion_b_n": 1}',
@@ -37,6 +38,7 @@ DEFAULT_REPORTS = [
     '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 12, "fact_image_size": 16, "formula_a_n": 12, "formula_b_n": 16, "n": 4, "passed": true, "pf_image_size": 16, "plays_enumerated": 16, "recursion_b_n": 16}',
     '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_image": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 55, "fact_image_size": 125, "formula_a_n": 55, "formula_b_n": 125, "n": 5, "passed": true, "pf_image_size": 125, "plays_enumerated": 125, "recursion_b_n": 125}',
     '{"checks": {"cycle_growth": true, "endstate_count": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "poset_linear_extensions": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 273, "fact_image_size": null, "formula_a_n": 273, "formula_b_n": 1296, "n": 6, "passed": true, "pf_image_size": 1296, "plays_enumerated": 1296, "recursion_b_n": 1296}',
+    '{"checks": {"endstate_count": true, "factorization_product": true, "parking_image": true, "parking_injective": true, "parking_round_trip": true, "play_count_power": true, "play_count_recursion": true, "primary_edge_coherence": true, "realization_round_trip": true, "signatures_are_noncrossing_trees": true, "tree_bijection_image": true, "variant_formulas": true}, "endstates_distinct": 1428, "fact_image_size": null, "formula_a_n": 1428, "formula_b_n": 16807, "n": 7, "passed": true, "pf_image_size": 16807, "plays_enumerated": 16807, "recursion_b_n": 16807}',
 ]
 
 
@@ -224,7 +226,7 @@ class TestVerifyAll:
         assert '"passed": true' in report.to_json()
         assert "overall: PASS" in report.to_table()
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_default_report_bytes(self, n):
         assert verify_all(n).to_json() == DEFAULT_REPORTS[n - 1]
 
@@ -405,6 +407,23 @@ class TestVerifyAll:
                 monkeypatch.setattr(enumeration, "_sorted_parking_functions", short)
                 report = verify_all(n, checks=["parking_image", "parking_injective"])
                 assert report.checks == [("parking_injective", True), ("parking_image", False)]
+
+    @pytest.mark.parametrize("fails", [0, 7])
+    def test_a_failed_test_is_not_called_again(self, monkeypatch, fails):
+        # the per-play test stops at its first failure, on a raise or on a wrong play,
+        # while the walk and the other tests go on over every play
+        right, calls = enumeration.parking_to_game, []
+
+        def counted(pf):
+            calls.append(pf)
+            if len(calls) == 1 and not fails:
+                raise ValueError("rejected")
+            return right(pf) if len(calls) < fails else PlaySequence(pf.n, ())
+
+        monkeypatch.setattr(enumeration, "parking_to_game", counted)
+        report = verify_all(5, checks=["parking_round_trip", "factorization_product"])
+        assert report.checks == [("parking_round_trip", False), ("factorization_product", True)]
+        assert len(calls) == max(fails, 1) and report.plays_enumerated == 125
 
     def test_round_trip_alone_gathers_no_parking_set(self):
         report = verify_all(5, checks=["parking_round_trip"])

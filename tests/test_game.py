@@ -429,16 +429,28 @@ class TestCanonicalForm:
         assert not is_parking_function(3, (v for v, _ in pairs()))
 
     def test_parking_predicate_agrees_with_its_constructor(self):
-        # is_parking_function is True exactly when ParkingFunction constructs
+        # is_parking_function is True exactly when ParkingFunction constructs, and
+        # the constructor stores a tuple of ints equal to the values given
+        class Label(int):
+            pass
+
         fields = ((), (1, 1), 5, None, (True, 1), (1.0, 1), ("1", 1), (None, 1))
-        for order in (0, -1, True, 1.0, "1", "3", None, 1, 3):
+        fields += (
+            *((0, 1), (1, 0), (3, 1), (1, 3), (2, 2), (1, 2), [2, 1], (1,), (1, 1, 1)),
+            *((True, True), (False, 1), (True, 2), (2, True)),
+            *((Label(1), 1), (Label(2), Label(1)), (Label(0), 1), (Label(3), 1)),
+            *((1, 2, 3), (1, 1, 4), (4, 1, 1), (0, 1, 2), (Label(3), True, 1), (1, 1, 1, 1)),
+        )
+        for order in (0, -1, True, 1.0, "1", "3", None, 1, 2, 3, 4):
             for values in fields:
                 try:
-                    ParkingFunction(order, values)
-                    made = True
+                    made = ParkingFunction(order, values)
                 except ValueError:
-                    made = False
-                assert is_parking_function(order, values) is made, (order, values)
+                    made = None
+                assert is_parking_function(order, values) is (made is not None), (order, values)
+                if made is not None:
+                    assert made.values == tuple(values), (order, values)
+                    assert all(type(v) is int for v in made.values), (order, values)
 
     def test_bad_input_messages_name_what_was_given(self):
         with pytest.raises(ValueError, match=r"got \[1, 'x'\]"):

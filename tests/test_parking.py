@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from planted_sprouts import (
     ParkingFunction,
     enumeration,
+    parking,
     PlaySequence,
     game_to_parking,
     is_parking_function,
@@ -25,6 +27,10 @@ def brute_force_parking_functions(n):
         for values in itertools.product(range(1, n), repeat=n - 1)
         if is_parking_function(n, values)
     }
+
+
+class Label(int):
+    """An int subclass: accepted as an int, stored as one."""
 
 
 def sorted_rule(n, values):
@@ -85,6 +91,15 @@ class TestIsParkingFunction:
             (None, 1),
             (1, 2**70),
             (-(2**70), 1),
+            (Label(1),),
+            (Label(1), Label(1)),
+            (Label(2), 1),
+            (Label(3), 1),
+            (Label(0), 1),
+            (True, Label(2)),
+            (True, False),
+            (0, 1),
+            (1, 0),
         ],
     )
     def test_counts_match_sorted_rule_on_other_values(self, values):
@@ -145,6 +160,30 @@ class TestGameToParking:
         image = {game_to_parking(p).values for p in all_plays(3)}
         assert image == {(1, 2), (2, 1), (1, 1)}
         assert len(all_plays(3)) == 3
+
+    @pytest.mark.parametrize(
+        "pairs,parks",
+        [
+            (((1, 2), (1, 3), (1, 4)), True),
+            (((3, 4), (1, 4), (1, 2)), True),
+            (((2, 3), (2, 4), (2, 4)), False),
+            (((3, 4), (3, 4), (1, 2)), False),
+            (((1, 2), (3, 4), (3, 4)), False),
+            (((2, 3), (3, 4), (2, 4)), False),
+        ],
+    )
+    def test_values_pass_the_sorted_rule_or_raise(self, monkeypatch, pairs, parks):
+        # the ccw pairs of no legal play, past the move loop: the map tests the
+        # values' sorted rule itself, as its pairs fix their type and range
+        monkeypatch.setattr(parking, "_ccw_pairs", lambda play: pairs)
+        play = PlaySequence.of(4, [(1, 2), (1, 3), (1, 4)])
+        values = tuple(a for a, _ in pairs)
+        if parks:
+            assert game_to_parking(play) == ParkingFunction(4, values)
+        else:
+            message = f"not a parking function of length 3: {values}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                game_to_parking(play)
 
     def test_incomplete_play_rejected(self):
         with pytest.raises(ValueError):

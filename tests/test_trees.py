@@ -394,6 +394,16 @@ class TestEnumeration:
         edge_lists = repr([sorted(t.edges) for t in all_trees(n)])
         assert hashlib.sha256(edge_lists.encode()).hexdigest() == TREE_DIGESTS[n]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trees_are_as_constructed(self, n):
+        # built through game._made, without the constructor's checks: each tree
+        # is the one the constructor builds, and stores a frozenset of int pairs
+        for tree in all_trees(n):
+            public = NoncrossingTree(n, sorted(tree.edges))
+            assert tree == public and hash(tree) == hash(public)
+            assert type(tree.n) is int and type(tree.edges) is frozenset
+            assert all(type(a) is int and type(b) is int for a, b in tree.edges)
+
     def test_order_nine(self):
         trees = enumerate_noncrossing_trees(9)
         assert len({t.edges for t in trees}) == len(trees) == count_endstates(9)
