@@ -22,7 +22,7 @@ from .factorizations import (
     successor_cycle,
     transpositions_to_game,
 )
-from .game import PlaySequence, _cycle_steps, _order, _walk_plays, replay
+from .game import PlaySequence, _order, _walk_plays, replay
 from .parking import ParkingFunction, game_to_parking, parking_to_game
 from .poset import build_poset, games_with_endstate, linear_extensions
 from .trees import (
@@ -114,6 +114,29 @@ class CountReport:
         return "\n".join(lines)
 
 
+def _cycle_steps(n: int, transpositions):
+    """The change, +1 or -1, in the cycle count of successor-cycle ∘ t_1 ∘
+    ... ∘ t_k at each k, for any pairs a < b of labels in 1..n: the split
+    walk of the `cycle_growth` check, apart from the move loop `game._joins`.
+
+    Composing with (a b) changes the cycle count by exactly one: it splits
+    the cycle holding a if b is on it, and merges the cycles of a and b
+    otherwise (Dénes, Publ. Math. Inst. Hungar. Acad. Sci. 4, 1959).  So
+    walk from a until b, or back to a, then swap.  A join is this swap by
+    its ccw pair, so a move is legal iff its step is +1.  The successor
+    cycle is one cycle and only the identity has n, so n-1 steps are all +1
+    iff the product is the identity: iff every move of the play split a
+    region, and iff the pairs, in order, factor the successor cycle.
+    """
+    perm = [0, *range(2, n + 1), 1]  # perm[x]: the image of x, from x -> x+1 (mod n)
+    for a, b in transpositions:
+        x = perm[a]
+        while x != a and x != b:
+            x = perm[x]
+        perm[a], perm[b] = perm[b], perm[a]  # perm = perm ∘ (a b)
+        yield 1 if x == b else -1
+
+
 def _play_stats(n, first_arc, reads):
     """The play count, the play sets and the per-play test verdicts named in
     `reads`, over the plays with a given first arc (or all plays), in one
@@ -126,9 +149,8 @@ def _play_stats(n, first_arc, reads):
     is a flag array of (n-1)^(n-1) bits, eight to a byte, with bit r & 7 of
     byte r >> 3 set for each play's number r.
 
-    `cycle_growth` is the split walk `game._cycle_steps` over the ccw pairs,
-    with no TranspositionSeq: every step splits iff the pairs factor the
-    successor cycle, so the test implies the product condition."""
+    `cycle_growth` is the split walk `_cycle_steps` over the ccw pairs, with
+    no TranspositionSeq: it implies the product condition (see there)."""
     successor, first = successor_cycle(n), operator.itemgetter(0)
 
     def parking_round_trip(arcs, ccw):
@@ -380,5 +402,10 @@ def verify_all(n: int, checks=None, jobs: int = 1) -> CountReport:
     )
     if "parkings" in got:  # the number of set flags
         report.pf_image_size = int.from_bytes(got["parkings"], "big").bit_count()
-    report.checks = [(name, final(report, got) if final else got[name]) for name, final in run]
+    report.checks = []
+    for name, final in run:
+        try:  # a map that rejects what it was given fails its check, as in `_play_stats`
+            report.checks.append((name, final(report, got) if final else got[name]))
+        except ValueError:
+            report.checks.append((name, False))
     return report

@@ -67,12 +67,11 @@ def game_to_transpositions(play: PlaySequence) -> TranspositionSeq:
 def transpositions_to_game(seq: TranspositionSeq) -> PlaySequence:
     """Reconstruct the unique play: each transposition {i', j'} is produced by
     joining the arms immediately clockwise of labels i' and j' in the one
-    subgame containing both.  Joining the arms after them swaps the successor
-    array by the transposition, and the in-order product is the n-cycle, so
-    every swap splits a region (see `game._cycle_steps`).  Only the successors
-    are read, so each join is the swap itself.  i and j are the images of
-    a != b under the permutation nxt, so each move is a pair of distinct int
-    labels once it is sorted.
+    subgame containing both.  That join swaps the successors by the
+    transposition, and every swap splits a region as the product is the
+    n-cycle (see `enumeration._cycle_steps`), so only the successors are read.
+    i and j are the images of a != b under the permutation nxt, so each move
+    is a pair of distinct int labels once it is sorted.
     """
     nxt = [0, *range(2, seq.n + 1), 1]
     moves = []

@@ -157,10 +157,10 @@ class _Arms:
     nxt[x] is the arm clockwise after x in its region and prv[x] the one
     before, so each region is a cycle of nxt, starting from k -> k+1 (mod n).
     Joining arms i and j swaps the successors of their ccw neighbours
-    a = prv[i] and b = prv[j]: nxt is composed with the transposition (a b),
-    which splits the cycle in two when i and j share a region and merges two
-    cycles otherwise.  Joining i and j again undoes the move; regions have no
-    ids.  `_joins` makes the same stores inline, which saves a call per move.
+    a = prv[i] and b = prv[j], which splits a region or merges two (see
+    `enumeration._cycle_steps`).  Joining i and j again undoes the move;
+    regions have no ids.  `_joins` makes the same stores inline, which saves
+    a call per move.
     """
 
     __slots__ = ("nxt", "prv")
@@ -176,29 +176,6 @@ class _Arms:
         nxt[a], nxt[b] = j, i
         prv[i], prv[j] = b, a
         return (a, b) if a < b else (b, a)
-
-
-def _cycle_steps(n: int, transpositions):
-    """The change, +1 or -1, in the cycle count of successor-cycle ∘ t_1 ∘
-    ... ∘ t_k at each k, for any pairs a < b of labels in 1..n: the split
-    walk of the `cycle_growth` check, apart from the move loop `_joins`.
-
-    Composing with (a b) changes the cycle count by exactly one: it splits
-    the cycle holding a if b is on it, and merges the cycles of a and b
-    otherwise (Dénes, Publ. Math. Inst. Hungar. Acad. Sci. 4, 1959).  So
-    walk from a until b, or back to a, then swap.  A join is this swap by
-    its ccw pair, so a move is legal iff its step is +1.  The successor
-    cycle is one cycle and only the identity has n, so n-1 steps are all +1
-    iff the product is the identity: iff every move of the play split a
-    region, and iff the pairs, in order, factor the successor cycle.
-    """
-    perm = [0, *range(2, n + 1), 1]  # perm[x]: the image of x, from x -> x+1 (mod n)
-    for a, b in transpositions:
-        x = perm[a]
-        while x != a and x != b:
-            x = perm[x]
-        perm[a], perm[b] = perm[b], perm[a]  # perm = perm ∘ (a b)
-        yield 1 if x == b else -1
 
 
 def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
@@ -309,16 +286,3 @@ def replay(play: PlaySequence) -> GameState:
             subgames.append(tuple(subgame))
     return GameState(n=play.n, subgames=tuple(subgames), history=tuple(history))
 
-
-def endstate_signature(state: GameState) -> frozenset:
-    """The set of n-1 arc labels (i, j), i < j, of a complete game: its
-    endstate tree's edges."""
-    if not state.is_complete():
-        raise ValueError("state is not complete; some subgame still has two or more arms")
-    signature = frozenset(rec.arc_label for rec in state.history)
-    if len(signature) != state.n - 1:
-        raise ValueError(
-            f"history has {len(signature)} distinct arc labels; "
-            f"a complete game of order {state.n} has {state.n - 1}"
-        )
-    return signature

@@ -12,7 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .game import PlaySequence, _made, _order, _pairs, _sorted, endstate_signature
+from .game import PlaySequence, _made, _order, _pairs, _sorted
 
 
 def _ccw_neighbours(n, edges) -> list:
@@ -110,8 +110,11 @@ class NoncrossingTree:
 
 
 def endstate_to_tree(state) -> NoncrossingTree:
-    """The noncrossing tree whose edges are a complete game's arc labels."""
-    return NoncrossingTree(state.n, endstate_signature(state))
+    """The noncrossing tree whose edges are a complete game's arc labels; the
+    constructor tests that they are n-1 distinct edges."""
+    if not state.is_complete():
+        raise ValueError("state is not complete; some subgame still has two or more arms")
+    return NoncrossingTree(state.n, tuple(record.arc_label for record in state.history))
 
 
 def _primary(nb) -> list:

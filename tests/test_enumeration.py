@@ -296,6 +296,17 @@ class TestVerifyAll:
             plays = right(tree)
             return plays[:-1] if tree == last_tree else plays
 
+        def rejects_tree(tree, **start):  # the tree maps' own ValueError
+            if tree == last_tree:
+                raise ValueError("not in the image")
+            return right(tree, **start)
+
+        def illegal(tree):  # the last move repeats the first arc, which replay rejects
+            play = right(tree)
+            if tree != last_tree:
+                return play
+            return game._made(PlaySequence, 5, "moves", (*play.moves[:-1], play.moves[0]))
+
         def one_more(n):
             return right(n) + 1
 
@@ -315,13 +326,13 @@ class TestVerifyAll:
             "count_plays_recursive": (one_more,),
             "is_noncrossing_tree": (rejects_star,),
             "_parking_flags": (clears_first,),
-            "find_primary_edge": (off_star,),
+            "find_primary_edge": (off_star, rejects_tree),
             "parking_to_game": (wrong, rejects, reverses),
             "_cycle_steps": (merges,),
             "compose_in_order": (misplaces,),
             "game_to_parking": (off_by_one,),
-            "tree_to_canonical_game": (elsewhere,),
-            "games_with_endstate": (drops,),
+            "tree_to_canonical_game": (elsewhere, illegal, rejects_tree),
+            "games_with_endstate": (drops, rejects_tree),
         }
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
         for fake, jobs in itertools.product(fakes.get(name, (wrong, rejects)), (1, 2)):
@@ -331,9 +342,9 @@ class TestVerifyAll:
             assert verdicts.pop(check) is False
             assert len(verdicts) == 14 and all(verdicts.values())
             assert not report.passed
-        assert cli.main(["verify", "5"]) == 1
-        out = capsys.readouterr().out
-        assert f"FAIL  {check}" in out and "overall: FAIL" in out
+            assert cli.main(["verify", "5", "--jobs", str(jobs)]) == 1
+            out = capsys.readouterr().out
+            assert f"FAIL  {check}" in out and "overall: FAIL" in out
 
     @pytest.mark.parametrize(
         "name,failing",

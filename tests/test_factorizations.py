@@ -13,8 +13,9 @@ from planted_sprouts import (
     parking_to_game,
     transpositions_to_game,
 )
+from planted_sprouts import factorizations
 from planted_sprouts.factorizations import compose_in_order, enumerate_factorizations, successor_cycle
-from planted_sprouts.game import _cycle_steps
+from planted_sprouts.enumeration import _cycle_steps
 from planted_sprouts.formats import seq_from_text, seq_to_text
 
 from helpers import all_plays, cycle_count, parking_functions
@@ -72,6 +73,19 @@ class TestGameToTranspositions:
         for play in all_plays(n):
             seq = game_to_transpositions(play)
             assert compose_in_order(n, seq.transpositions) == target
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((1, 2), (1, 2), (1, 2)), ((1, 2), (2, 3), (3, 4)), ((1, 4), (1, 3), (1, 2))],
+    )
+    def test_product_checked_past_the_move_loop(self, monkeypatch, pairs):
+        # the ccw pairs of no legal play, past the move loop: a repeated pair and
+        # two factorizations of the inverse cycle; the map tests their product itself
+        assert compose_in_order(4, pairs) != successor_cycle(4)
+        monkeypatch.setattr(factorizations, "_ccw_pairs", lambda play: pairs)
+        play = PlaySequence.of(4, [(1, 2), (1, 3), (1, 4)])
+        with pytest.raises(ValueError, match="^in-order product is not the successor cycle$"):
+            game_to_transpositions(play)
 
 
 class TestTranspositionsToGame:

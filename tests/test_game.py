@@ -45,7 +45,6 @@ from planted_sprouts.formats import (
 )
 from planted_sprouts.enumeration import count_plays_recursive
 from planted_sprouts.factorizations import enumerate_factorizations
-from planted_sprouts.game import endstate_signature
 from helpers import (
     all_plays,
     all_trees,
@@ -216,31 +215,48 @@ def fold_outcomes(n, length):
 
 
 class TestEndstateSignature:
+    # a complete game's arc set, its endstate signature, as `endstate_to_tree` reads it
     def test_n3(self):
         state = replay(PlaySequence.of(3, [(1, 2), (2, 3)]))
-        assert endstate_signature(state) == {(1, 2), (2, 3)}
+        assert endstate_to_tree(state).edges == {(1, 2), (2, 3)}
 
     def test_incomplete_rejected(self):
-        with pytest.raises(ValueError):
-            endstate_signature(new_game(3))
+        message = "state is not complete; some subgame still has two or more arms"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            endstate_to_tree(new_game(3))
 
     def test_reversed_order_of_this_play_is_illegal(self):
         # the same arc set played as [{2,3},{1,2}] strands labels 1 and 2
         with pytest.raises(IllegalMoveError):
             replay(PlaySequence.of(3, [(2, 3), (1, 2)]))
 
-    def test_repeated_arc_in_history_rejected(self):
-        # a hand-built complete state whose history draws arc 1-2 twice
-        record = MoveRecord(arc_label=(1, 2), ccw_pair=(2, 3), long_pair=(1, 2))
-        state = GameState(n=3, subgames=(((1, 1),), ((2, 2),), ((3, 3),)), history=(record,) * 2)
+    @staticmethod
+    def _complete_state(*arcs):
+        # a hand-built complete state of order 3 whose history draws the given arcs
+        history = tuple(MoveRecord(arc_label=arc, ccw_pair=arc, long_pair=arc) for arc in arcs)
+        state = GameState(n=3, subgames=(((1, 1),), ((2, 2),), ((3, 3),)), history=history)
         assert state.is_complete()
-        with pytest.raises(ValueError, match="distinct arc labels"):
-            endstate_signature(state)
+        return state
+
+    def test_repeated_arc_in_history_rejected(self):
+        message = "not a noncrossing tree on 3 vertices: [(1, 2), (1, 2)]; an edge is repeated"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            endstate_to_tree(self._complete_state((1, 2), (1, 2)))
+
+    def test_short_history_rejected(self):
+        message = "not a noncrossing tree on 3 vertices: [(1, 2)]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            endstate_to_tree(self._complete_state((1, 2)))
 
     def test_n4_signature_count(self):
-        sigs = {endstate_signature(replay(p)) for p in all_plays(4)}
+        sigs = {endstate_to_tree(replay(p)).edges for p in all_plays(4)}
         assert len(all_plays(4)) == 16
         assert len(sigs) == 12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_edges_are_the_arcs(self, n):
+        for play in all_plays(n):
+            assert endstate_to_tree(replay(play)).edges == frozenset(play.moves)
 
 
 def _cyclically_increasing(labels):

@@ -22,7 +22,7 @@ from planted_sprouts import (
     tree_to_dot,
 )
 from planted_sprouts.trees import find_primary_edge, is_pivotable_clockwise
-from planted_sprouts import poset, trees
+from planted_sprouts import cli, game, poset, trees
 from planted_sprouts.formats import _from_json, edges_to_json
 from planted_sprouts.game import PlaySequence
 
@@ -255,6 +255,16 @@ class TestFindPrimaryEdge:
             with pytest.raises(ValueError, match=r"^start vertex must be in 1\.\.8$"):
                 find_primary_edge(EIGHT_VERTEX_TREE, start)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_walk_on_a_cycle_raises(self, n):
+        # a triangle, built past the constructor's checks: no edge is primary,
+        # so the neighbour walk goes round it until its step bound runs out
+        triangle = game._made(NoncrossingTree, n, "edges", frozenset({(1, 2), (2, 3), (1, 3)}))
+        assert not primary_edges(triangle)
+        for start in (1, 2, 3):
+            with pytest.raises(RuntimeError, match="^neighbor walk failed to settle on a primary edge$"):
+                find_primary_edge(triangle, start)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_terminates_at_primary_from_every_start(self, n):
         for tree in all_trees(n):
@@ -417,6 +427,14 @@ class TestEnumeration:
     def test_count_rejects_zero(self):
         with pytest.raises(ValueError):
             count_endstates(0)
+
+    def test_count_checks_its_division(self, monkeypatch, capsys):
+        # a binomial that the closed form's denominator does not divide
+        monkeypatch.setattr(trees.math, "comb", lambda n, k: 7)
+        with pytest.raises(ArithmeticError, match=r"^C\(6,2\) is not divisible by 5$"):
+            count_endstates(3)
+        assert cli.main(["counts", "3"]) == 2
+        assert capsys.readouterr().err == "error: C(6,2) is not divisible by 5\n"
 
 
 class TestSerialization:
