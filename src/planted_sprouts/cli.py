@@ -31,7 +31,7 @@ def _cmd_enumerate_endstates(args):
 def _cmd_to_tree(args):
     play = formats.read_play(args.play or sys.stdin.read())
     if len(play.moves) < play.n - 1:  # before replay builds arrays of size n
-        raise ValueError("state is not complete; some subgame still has two or more arms")
+        raise ValueError(trees._INCOMPLETE)
     yield trees.endstate_to_tree(game.replay(play))
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import PlaySequence, _Arms, _made
+from .game import PlaySequence, _made
 from .trees import NoncrossingTree, _tree_ccw
 
 
@@ -79,47 +79,62 @@ def games_with_endstate(tree: NoncrossingTree):
     Moves only split regions, so a prefix that parts the ends of an unplayed
     arc is pruned, and at any other prefix every unplayed arc is legal.
 
+    Regions are cycles of successor arrays, as in `game._Arms`: joining x
+    and y stores nxt[prv[x]] = y and nxt[prv[y]] = x, so x's new region is
+    the run x, nxt[x], ... up to the arm before y, read before the join.
     Arc k of the sorted edges is bit k of `unplayed`, and incident[v] holds
-    the bits of the arcs at v.  After joining x and y, an unplayed arc is cut
-    iff exactly one of its ends lies in x's new region, which is iff its bit
-    is set in the XOR of incident[] over that region.  An explicit stack of
-    played arcs replaces the recursion: undoing the last arc k resumes its
-    stage at arc k+1.  Every move is one of the tree's edges, already a
-    sorted pair of int labels."""
+    the bits of the arcs at v.  An unplayed arc other than k is cut iff
+    exactly one of its ends lies in that run, which is iff its bit is set in
+    the XOR of incident[] over the run; arc k's own bit is set there and is
+    not tested.  So a pruned arc costs one walk and no join.  A surviving
+    arc is joined only if arcs are left after it, and the backtrack undoes
+    it with the same join.
+
+    The walk ends.  At every surviving prefix every unplayed arc lies in one
+    region, for any edge set, so the run from x meets y within that region's
+    length; if it came back to x instead, a prune was missed, and it raises
+    RuntimeError rather than loop.  An explicit stack of played arcs replaces
+    the recursion, never deeper than the edge count: undoing the last arc k
+    resumes its stage at arc k+1, and a stage's k only rises.  Every move is
+    one of the tree's edges, already a sorted pair of int labels."""
     n, edges = tree.n, sorted(tree.edges)
-    arms = _Arms(n)
-    nxt, join = arms.nxt, arms.join
+    if not edges:
+        return [_made(PlaySequence, n, "moves", ())]
+    nxt, prv = [1, *range(2, n + 1), 1], [n, n, *range(1, n)]
     incident = [0] * (n + 1)
     for k, (x, y) in enumerate(edges):
         incident[x] |= 1 << k
         incident[y] |= 1 << k
     out, path, played = [], [], []  # plays found, arcs played, their bits
     unplayed, k = (1 << len(edges)) - 1, 0
-    if not unplayed:
-        return [_made(PlaySequence, n, "moves", ())]
     while True:
         if unplayed >> k:  # an unplayed arc at k or above
-            if unplayed >> k & 1:
-                x, y = arc = edges[k]
-                join(x, y)
-                cut, z = incident[x], nxt[x]
-                while z != x:
-                    cut ^= incident[z]
-                    z = nxt[z]
-                rest = unplayed ^ 1 << k
-                if not cut & rest:
-                    if rest:
-                        path.append(arc)
-                        played.append(k)
-                        unplayed, k = rest, 0
-                        continue
+            if not unplayed >> k & 1:
+                k += 1
+                continue
+            x, y = arc = edges[k]
+            cut, z = incident[x], nxt[x]
+            while z != y:
+                if z == x:
+                    raise RuntimeError(f"arc {x}-{y} lies across two regions")
+                cut ^= incident[z]
+                z = nxt[z]
+            rest = unplayed ^ 1 << k
+            if cut & rest or not rest:
+                if not rest:
                     out.append(_made(PlaySequence, n, "moves", (*path, arc)))
-                join(x, y)
-            k += 1
+                k += 1
+                continue
+            path.append(arc)
+            played.append(k)
+            unplayed, k = rest, 0
         elif played:
+            x, y = path.pop()
             k = played.pop()
-            join(*path.pop())
             unplayed |= 1 << k
             k += 1
         else:
             return out
+        a, b = prv[x], prv[y]  # join x and y, or undo their join
+        nxt[a], nxt[b] = y, x
+        prv[x], prv[y] = b, a

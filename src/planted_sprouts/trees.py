@@ -109,11 +109,14 @@ class NoncrossingTree:
         return cls(n=n, edges=_sorted(edges))
 
 
+_INCOMPLETE = "state is not complete; some subgame still has two or more arms"
+
+
 def endstate_to_tree(state) -> NoncrossingTree:
     """The noncrossing tree whose edges are a complete game's arc labels; the
     constructor tests that they are n-1 distinct edges."""
     if not state.is_complete():
-        raise ValueError("state is not complete; some subgame still has two or more arms")
+        raise ValueError(_INCOMPLETE)
     return NoncrossingTree(state.n, tuple(record.arc_label for record in state.history))
 
 
@@ -130,10 +133,13 @@ def primary_edges(tree: NoncrossingTree) -> frozenset:
 def is_pivotable_clockwise(tree: NoncrossingTree, edge) -> bool:
     """True iff either endpoint of the edge can swing clockwise onto another
     tree edge, i.e. the other endpoint is not its first ccw neighbour.  Edges
-    that cannot are exactly the primary ones."""
-    (e,) = _pairs(tree.n, _sorted([edge]), "edge")  # as `from_edges` reads an edge
-    if e not in tree.edges:
-        raise ValueError(f"edge {e} is not in the tree")
+    that cannot are exactly the primary ones.  A tree edge given as a tuple
+    of two ints is answered at once, any other edge read as `from_edges` reads one."""
+    e = edge
+    if type(e) is not tuple or [*map(type, e)] != [int, int] or e not in tree.edges:
+        (e,) = _pairs(tree.n, _sorted([edge]), "edge")
+        if e not in tree.edges:
+            raise ValueError(f"edge {e} is not in the tree")
     nb = _tree_ccw(tree)
     u, v = e
     return nb[u][0] != v or nb[v][0] != u

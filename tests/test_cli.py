@@ -84,6 +84,14 @@ class TestConversions:
         assert code == 0
         assert out.strip() == "n=3: 1-2,2-3"
 
+    def test_to_tree_of_a_short_play_has_the_endstate_message(self, capsys):
+        # the CLI rejects a short play before replay, with the message
+        # endstate_to_tree gives for the incomplete state it would reach
+        code, out, err = run(capsys, "to-tree", "--play", "n=4: 1-2")
+        with pytest.raises(ValueError) as raised:
+            endstate_to_tree(replay(play_from_text("n=4: 1-2")))
+        assert (code, out, err) == (2, "", f"error: {raised.value}\n")
+
     def test_to_transpositions(self, capsys):
         code, out, _ = run(capsys, "to-transpositions", "--play", "n=3: 1-2,2-3")
         assert code == 0

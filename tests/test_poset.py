@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from planted_sprouts import (
+    IllegalMoveError,
     NoncrossingTree,
+    PlaySequence,
     build_poset,
     endstate_to_tree,
+    game,
     games_with_endstate,
     linear_extensions,
     primary_edges,
@@ -204,6 +207,28 @@ class TestGamesWithEndstate:
             extensions = set(linear_extensions(build_poset(tree)))
             orders = {play.moves for play in games_with_endstate(tree)}
             assert extensions == orders
+
+    def test_edge_sets_that_are_not_trees(self):
+        # every set of 1..n-1 chords at n <= 5, crossing sets, cycles and
+        # forests among them: the walk reads no tree property, so it gives
+        # exactly the orders of the arcs that replay accepts, in order
+        def legal(n, order):
+            try:
+                replay(PlaySequence(n, order))
+            except IllegalMoveError:
+                return False
+            return True
+
+        sets = 0
+        for n in range(1, 6):
+            chords = list(itertools.combinations(range(1, n + 1), 2))
+            for size in range(1, n):
+                for arcs in itertools.combinations(chords, size):
+                    sets += 1
+                    edges = game._made(NoncrossingTree, n, "edges", frozenset(arcs))
+                    expected = [o for o in itertools.permutations(arcs) if legal(n, o)]
+                    assert [p.moves for p in games_with_endstate(edges)] == expected, arcs
+        assert sets == 433
 
     @settings(deadline=None, max_examples=60)
     @given(parking_functions(max_n=8))

@@ -5,9 +5,15 @@ and every pair the maps read (arcs, ccw pairs, tree edges, poset covers)
 into the turned pair, sorted again.  The oracle is the relabelling alone, so
 it shares no code with the engine.  `replay` lists a state canonically, by
 least label, so the turned play's state equals the turned state exactly.
-(The mirror k -> n+1-k is not a symmetry of the labels: it makes every play
-at n = 3..7 illegal.  Parking values do not simply shift either, since a ccw
-pair that wraps past n gets the value 1.)
+(Parking values do not simply shift, since a ccw pair that wraps past n
+gets the value 1.)
+
+The mirror k -> n+1-k alone is not a symmetry of the labels: it makes every
+play at n = 3..7 illegal.  Composed with reversing the move order it is one
+for the endstate walk: on every tree T to n = 7 (1428 trees at n = 7), the
+plays reaching the mirrored tree are exactly T's plays mirrored and
+reversed, and the edge posets of T and of its mirror have equally many
+linear extensions.  The oracle is the relabelling and the reversal alone.
 """
 
 import pytest
@@ -23,6 +29,8 @@ from planted_sprouts import (
     build_poset,
     endstate_to_tree,
     game_to_transpositions,
+    games_with_endstate,
+    linear_extensions,
     parking_to_game,
     primary_edges,
     replay,
@@ -111,6 +119,23 @@ def test_primary_edges_and_covers_commute_with_turning(n):
         turned = turn_tree(tree)
         assert primary_edges(turned) == {turn_pair(n, e) for e in primary_edges(tree)}, tree
         assert build_poset(turned).covers == turn_covers(n, build_poset(tree).covers), tree
+
+
+def mirror_pair(n, pair):
+    return n + 1 - pair[1], n + 1 - pair[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_mirrored_tree_is_reached_by_the_mirrored_plays_reversed(n):
+    for tree in all_trees(n):
+        mirrored = NoncrossingTree(n, frozenset(mirror_pair(n, e) for e in tree.edges))
+        reflected = {
+            tuple(mirror_pair(n, move) for move in reversed(play.moves))
+            for play in games_with_endstate(tree)
+        }
+        assert {play.moves for play in games_with_endstate(mirrored)} == reflected, tree
+        count = len(linear_extensions(build_poset(tree)))
+        assert len(linear_extensions(build_poset(mirrored))) == count, tree
 
 
 @settings(deadline=None, max_examples=10)
