@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):  # counts are exact; b_1400 has 4406 digits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # lifted for this call only: counts are exact; b_1400 has 4406 digits
         sys.set_int_max_str_digits(0)
     fmt = "dot" if getattr(args, "dot", False) else args.format
     code = 0
@@ -137,6 +138,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

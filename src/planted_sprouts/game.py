@@ -151,33 +151,6 @@ def legal_moves(state: GameState):
     return out
 
 
-class _Arms:
-    """A game's arms in successor arrays, index 0 unused.
-
-    nxt[x] is the arm clockwise after x in its region and prv[x] the one
-    before, so each region is a cycle of nxt, starting from k -> k+1 (mod n).
-    Joining arms i and j swaps the successors of their ccw neighbours
-    a = prv[i] and b = prv[j], which splits a region or merges two (see
-    `enumeration._cycle_steps`).  Joining i and j again undoes the move;
-    regions have no ids.  `_joins` makes the same stores inline, which saves
-    a call per move.
-    """
-
-    __slots__ = ("nxt", "prv")
-
-    def __init__(self, n: int):
-        self.nxt = [1, *range(2, n + 1), 1]
-        self.prv = [n, n, *range(1, n)]
-
-    def join(self, i: int, j: int):
-        """Join arms i and j of one region; return their ccw pair, sorted."""
-        nxt, prv = self.nxt, self.prv
-        a, b = prv[i], prv[j]
-        nxt[a], nxt[b] = j, i
-        prv[i], prv[j] = b, a
-        return (a, b) if a < b else (b, a)
-
-
 def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
     """The error for a move whose labels lie in different regions.  A move
     parts the arms it joins for good, so a repeated arc is always one."""
@@ -187,14 +160,19 @@ def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
     return IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
 
 
-def _joins(play: PlaySequence, arms: _Arms) -> tuple:
-    """Join the moves of `play` on `arms`, from the initial state, and return
-    their sorted ccw pairs: the one move loop of `replay` and the maps, with
-    `_Arms.join` written inline.  After each join the new regions of i and j
-    are walked at once until one closes, so a move costs its smaller side:
-    O(n log n) over a play.  A walk that meets the other arm shares a cycle
-    with it, so the join merged two regions: the first illegal move."""
-    nxt, prv, pairs = arms.nxt, arms.prv, []
+def _joins(play: PlaySequence) -> tuple:
+    """The one move loop of `replay` and the maps: join the moves of `play`
+    from the start; return their sorted ccw pairs and the successor arrays.
+    nxt[x] is the arm clockwise after x in its region and prv[x] the one
+    before (index 0 unused), so each region is a cycle of nxt, at first
+    k -> k+1 (mod n).  Joining i and j swaps the successors of their ccw
+    neighbours a = prv[i] and b = prv[j], splitting a region or merging two
+    (see `enumeration._cycle_steps`); joining them again undoes it.  Then the
+    new regions of i and j are walked at once until one closes, so a move
+    costs its smaller side, O(n log n) over a play, and a walk that meets the
+    other arm shows a merge: the first illegal move."""
+    n, pairs = play.n, []
+    nxt, prv = [1, *range(2, n + 1), 1], [n, n, *range(1, n)]
     for i, j in play.moves:
         a, b = prv[i], prv[j]
         nxt[a], nxt[b] = j, i
@@ -205,7 +183,7 @@ def _joins(play: PlaySequence, arms: _Arms) -> tuple:
             if x == j or y == i:
                 raise _illegal(play, len(pairs) - 1)
             x, y = nxt[x], nxt[y]
-    return tuple(pairs)
+    return tuple(pairs), nxt, prv
 
 
 def _ccw_pairs(play: PlaySequence) -> tuple:
@@ -214,7 +192,7 @@ def _ccw_pairs(play: PlaySequence) -> tuple:
     a longer play fails at move n at the latest."""
     if len(play.moves) < play.n - 1:  # before any array of size n
         raise ValueError("play is not complete")
-    return _joins(play, _Arms(play.n))
+    return _joins(play)[0]
 
 
 def _walk_plays(n: int, first_arc=None):
@@ -234,13 +212,15 @@ def _walk_plays(n: int, first_arc=None):
     x, y = first_arc or (1, 2)
     if not 1 <= x < y <= n:
         return
-    arms = _Arms(n)
-    nxt, join = arms.nxt, arms.join
+    nxt, prv = [1, *range(2, n + 1), 1], [n, n, *range(1, n)]  # as in `_joins`
     path, pairs = [], []
     while True:
         if y > x:
             if len(path) < n - 2:
-                pairs.append(join(x, y))
+                a, b = prv[x], prv[y]  # join x and y
+                nxt[a], nxt[b] = y, x
+                prv[x], prv[y] = b, a
+                pairs.append((a, b) if a < b else (b, a))
                 path.append((x, y))
                 x, y = 1, nxt[1]
                 continue
@@ -253,7 +233,9 @@ def _walk_plays(n: int, first_arc=None):
             return
         x, y = path.pop()
         pairs.pop()
-        join(x, y)
+        a, b = prv[x], prv[y]  # the same join undoes it
+        nxt[a], nxt[b] = y, x
+        prv[x], prv[y] = b, a
         if first_arc and not path:
             return
         y = nxt[y]
@@ -263,16 +245,15 @@ def replay(play: PlaySequence) -> GameState:
     """Replay a play from the initial state; raises IllegalMoveError at the
     first move whose labels lie in different regions.
 
-    The moves run through `_joins` on `_Arms`.  Each new arm's long label is
-    its old one paired with the other arm's.  The state is read off `nxt`
-    once, at the end: a region's labels increase clockwise from its least
-    one, which is the one k with prv[k] >= k.
+    The moves run through `_joins`, and the state is read off the nxt it
+    returns, once: a region's labels increase clockwise from its least one,
+    the one k with prv[k] >= k.  A new arm's long label is its old one paired
+    with the other arm's.
     """
-    arms = _Arms(play.n)
-    nxt, prv = arms.nxt, arms.prv
+    ccws, nxt, prv = _joins(play)
     long = list(range(play.n + 1))
     history = []
-    for (i, j), ccw in zip(play.moves, _joins(play, arms)):
+    for (i, j), ccw in zip(play.moves, ccws):
         pair = long[i], long[j]
         long[i], long[j] = pair, pair[::-1]
         history.append(MoveRecord((i, j), ccw, pair))

@@ -79,7 +79,7 @@ def games_with_endstate(tree: NoncrossingTree):
     Moves only split regions, so a prefix that parts the ends of an unplayed
     arc is pruned, and at any other prefix every unplayed arc is legal.
 
-    Regions are cycles of successor arrays, as in `game._Arms`: joining x
+    Regions are cycles of successor arrays, as in `game._joins`: joining x
     and y stores nxt[prv[x]] = y and nxt[prv[y]] = x, so x's new region is
     the run x, nxt[x], ... up to the arm before y, read before the join.
     Arc k of the sorted edges is bit k of `unplayed`, and incident[v] holds

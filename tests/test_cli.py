@@ -1,6 +1,7 @@
 """Command-line interface: verbs, formats, round trips, exit codes."""
 
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -431,10 +432,27 @@ def test_golden_bytes(command):
 
 
 def test_counts_print_exact_integers_of_any_size():
-    # b_1400 has 4406 digits, past Python's default limit on int -> str
+    # b_1400 has 4406 digits, past Python's default limit on int -> str; the
+    # digits are read back as a Decimal, which that limit does not cover
     code, out, err = call(["counts", "1400", "--format", "json"])
     assert (code, err) == (0, "")
-    assert json.loads(out)["b"] == 1400**1398
+    assert json.loads(out, parse_int=decimal.Decimal)["b"] == 1400**1398
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit before 3.11"
+)
+def test_main_leaves_the_int_digit_limit_as_it_found_it():
+    # main lifts the limit only while it writes; a value of this test's own
+    # shows a main that switched the limit off and left it off
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for argv in (["counts", "3"], ["counts", "1400"], ["counts", "-1"]):
+            call(argv)
+            assert sys.get_int_max_str_digits() == 5000, argv
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def assert_clean_exit(argv):

@@ -9,11 +9,14 @@ least label, so the turned play's state equals the turned state exactly.
 gets the value 1.)
 
 The mirror k -> n+1-k alone is not a symmetry of the labels: it makes every
-play at n = 3..7 illegal.  Composed with reversing the move order it is one
-for the endstate walk: on every tree T to n = 7 (1428 trees at n = 7), the
-plays reaching the mirrored tree are exactly T's plays mirrored and
-reversed, and the edge posets of T and of its mirror have equally many
-linear extensions.  The oracle is the relabelling and the reversal alone.
+play at n = 3..7 illegal (16,807 at n = 7).  Composed with reversing the
+move order it is one: every play to n = 7, mirrored and reversed, is legal,
+and on every tree T to n = 7 (1428 trees at n = 7) the plays reaching the
+mirrored tree are exactly T's plays mirrored and reversed.  So the mirror
+turns each cover (e, f) of T's edge poset into the cover (m f, m e) of its
+mirror's, which is the dual poset, checked on every tree to n = 8, and the
+two have equally many linear extensions.  The oracle is the relabelling and
+the reversal alone.
 """
 
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from planted_sprouts import (
     GameState,
+    IllegalMoveError,
     MoveRecord,
     NoncrossingTree,
     ParkingFunction,
@@ -125,10 +129,31 @@ def mirror_pair(n, pair):
     return n + 1 - pair[1], n + 1 - pair[0]
 
 
+def mirror_tree(tree):
+    return NoncrossingTree(tree.n, frozenset(mirror_pair(tree.n, e) for e in tree.edges))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_mirrored_play_is_legal_reversed_and_illegal_as_it_stands(n):
+    for play in all_plays(n):
+        mirrored = tuple(mirror_pair(n, move) for move in play.moves)
+        replay(PlaySequence(n, mirrored[::-1]))  # legal: replay raises otherwise
+        if n >= 3:
+            with pytest.raises(IllegalMoveError):
+                replay(PlaySequence(n, mirrored))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_mirror_turns_covers_into_dual_covers(n):
+    for tree in all_trees(n):
+        dual = {(mirror_pair(n, f), mirror_pair(n, e)) for e, f in build_poset(tree).covers}
+        assert build_poset(mirror_tree(tree)).covers == dual, tree
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_mirrored_tree_is_reached_by_the_mirrored_plays_reversed(n):
     for tree in all_trees(n):
-        mirrored = NoncrossingTree(n, frozenset(mirror_pair(n, e) for e in tree.edges))
+        mirrored = mirror_tree(tree)
         reflected = {
             tuple(mirror_pair(n, move) for move in reversed(play.moves))
             for play in games_with_endstate(tree)
