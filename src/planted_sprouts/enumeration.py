@@ -22,7 +22,7 @@ from .factorizations import (
     successor_cycle,
     transpositions_to_game,
 )
-from .game import PlaySequence, _order, _walk_plays, replay
+from .game import PlaySequence, _made, _order, _walk_plays, replay
 from .parking import ParkingFunction, game_to_parking, parking_to_game
 from .poset import build_poset, games_with_endstate, linear_extensions
 from .trees import (
@@ -155,7 +155,8 @@ def _play_stats(n, first_arc, reads):
 
     def parking_round_trip(arcs, ccw):
         values = tuple(map(first, ccw))
-        back = parking_to_game(ParkingFunction(n, values))
+        # unchecked: `parking_to_game` ends on any values in 1..n-1; only parking ones come back
+        back = parking_to_game(_made(ParkingFunction, n, "values", values))
         return back.moves == arcs and game_to_parking(back).values == values
 
     def transposition_round_trip(arcs, ccw):

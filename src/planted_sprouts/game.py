@@ -100,14 +100,14 @@ def _sorted(pairs):
 
 
 def _made(cls, n: int, field: str, value):
-    """A value object of `cls` with fields n and `field`, made without its
-    `__post_init__`: the trusted path by which a map builds its output.  The
-    map checks in its own loop whatever that loop does not guarantee, and
-    `value` must already be the canonical form the constructor would store
-    (int tuple pairs in a tuple or a frozenset, or a tuple of ints)."""
+    """A value object of `cls`, its fields n and `field` put in its instance
+    dict without `__post_init__`: the trusted path by which a map builds its
+    output.  The map checks in its loop whatever that loop does not guarantee,
+    and `value` must be the canonical form the constructor would store (int
+    tuple pairs in a tuple or a frozenset, or a tuple of ints)."""
     made = object.__new__(cls)
-    object.__setattr__(made, "n", n)
-    object.__setattr__(made, field, value)
+    fields = made.__dict__
+    fields["n"], fields[field] = n, value
     return made
 
 
@@ -169,8 +169,9 @@ def _joins(play: PlaySequence) -> tuple:
     neighbours a = prv[i] and b = prv[j], splitting a region or merging two
     (see `enumeration._cycle_steps`); joining them again undoes it.  Then the
     new regions of i and j are walked at once until one closes, so a move
-    costs its smaller side, O(n log n) over a play, and a walk that meets the
-    other arm shows a merge: the first illegal move."""
+    costs its smaller side, O(n log n) over a play.  A merge leaves i and j on
+    one cycle of length L, so x meets j below step L, before either walk
+    closes: x == j alone shows a merge, the first illegal move."""
     n, pairs = play.n, []
     nxt, prv = [1, *range(2, n + 1), 1], [n, n, *range(1, n)]
     for i, j in play.moves:
@@ -180,7 +181,7 @@ def _joins(play: PlaySequence) -> tuple:
         pairs.append((a, b) if a < b else (b, a))
         x, y = nxt[i], nxt[j]
         while x != i and y != j:
-            if x == j or y == i:
+            if x == j:
                 raise _illegal(play, len(pairs) - 1)
             x, y = nxt[x], nxt[y]
     return tuple(pairs), nxt, prv
@@ -251,12 +252,15 @@ def replay(play: PlaySequence) -> GameState:
     with the other arm's.
     """
     ccws, nxt, prv = _joins(play)
-    long = list(range(play.n + 1))
+    long, new = list(range(play.n + 1)), object.__new__
     history = []
-    for (i, j), ccw in zip(play.moves, ccws):
+    for arc, ccw in zip(play.moves, ccws):
+        i, j = arc
         pair = long[i], long[j]
         long[i], long[j] = pair, pair[::-1]
-        history.append(MoveRecord((i, j), ccw, pair))
+        history.append(record := new(MoveRecord))  # filled as `_made` fills its objects
+        fields = record.__dict__
+        fields["arc_label"], fields["ccw_pair"], fields["long_pair"] = arc, ccw, pair
     subgames = []
     for k in range(1, play.n + 1):
         if prv[k] >= k:

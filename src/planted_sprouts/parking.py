@@ -68,31 +68,30 @@ def game_to_parking(play: PlaySequence) -> ParkingFunction:
 def parking_to_game(pf: ParkingFunction) -> PlaySequence:
     """The unique play whose parking values are the given function, move by move.
 
-    With left[x] the number of values still to come that equal x, value v
-    joins i = nxt[v] to j = nxt[x], where x is the first arm clockwise from
-    i at which the running sum of left - 1 reaches -1: the arms i..x are the
-    side the move cuts off, and their own values fill it like a parking
-    function.  For a parking function the walk never returns to v.  The
-    join's ccw neighbours are v and x, so it swaps their successors.  The
-    labels i and j are read from nxt, so each move is a pair of int labels
-    in 1..n once it is sorted and i != j.
+    With need[x] one less than the number of values still to come that equal
+    x, value v joins i = nxt[v] to j = nxt[x], where x is the first arm
+    clockwise from i at which the running sum of need reaches -1, and swaps
+    the successors of v and x, its ccw neighbours: the arms i..x are the side
+    A it cuts off.  The walk ends within a lap on any values in 1..n-1.  Each
+    region R holds (as arm labels) at most |R|-1 values to come, and once v is
+    taken at most |R|-2, so need sums to <= -2 over R; a step adds >= -1, so
+    the sum hits -1 at an x before v.  So x != v and i != j, and A then holds
+    exactly |A|-1 values and the other side B at most |B|-1.
     """
     n = pf.n
     nxt = [0, *range(2, n + 1), 1]
-    left = [0] * (n + 1)
+    need = [-1] * (n + 1)
     for v in pf.values:
-        left[v] += 1
+        need[v] += 1
     moves = []
     for v in pf.values:
-        left[v] -= 1
+        need[v] -= 1
         i = x = nxt[v]
-        total = left[x] - 1
+        total = need[x]
         while total != -1:
             x = nxt[x]
-            total += left[x] - 1
+            total += need[x]
         j = nxt[x]
         nxt[v], nxt[x] = j, i
-        if i == j:
-            raise ValueError(f"move {i}-{i} is not a pair of distinct labels in 1..{n}")
         moves.append((i, j) if i < j else (j, i))
     return _made(PlaySequence, n, "moves", tuple(moves))

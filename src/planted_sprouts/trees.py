@@ -136,7 +136,8 @@ def is_pivotable_clockwise(tree: NoncrossingTree, edge) -> bool:
     that cannot are exactly the primary ones.  A tree edge given as a tuple
     of two ints is answered at once, any other edge read as `from_edges` reads one."""
     e = edge
-    if type(e) is not tuple or [*map(type, e)] != [int, int] or e not in tree.edges:
+    if (type(e) is not tuple or len(e) != 2 or type(e[0]) is not int
+            or type(e[1]) is not int or e not in tree.edges):  # the lookup hashes, so types first
         (e,) = _pairs(tree.n, _sorted([edge]), "edge")
         if e not in tree.edges:
             raise ValueError(f"edge {e} is not in the tree")

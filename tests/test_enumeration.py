@@ -439,3 +439,24 @@ class TestVerifyAll:
     def test_round_trip_alone_gathers_no_parking_set(self):
         report = verify_all(5, checks=["parking_round_trip"])
         assert report.passed and report.pf_image_size is None
+
+    def test_round_trip_fails_on_values_that_are_no_parking_function(self, monkeypatch):
+        # the check builds its input unchecked: the values n-1, ..., n-1 of a last
+        # play with ccw pairs (n-1, n) still map to a play, which cannot read back
+        walk, right, returned = enumeration._walk_plays, enumeration.parking_to_game, []
+
+        def last_play_bad(n, first_arc=None):
+            plays = list(walk(n, first_arc))
+            plays[-1] = plays[-1][0], ((n - 1, n),) * (n - 1)
+            yield from plays
+
+        def spied(pf):
+            play = right(pf)
+            returned.append((pf.values, len(play.moves)))
+            return play
+
+        monkeypatch.setattr(enumeration, "_walk_plays", last_play_bad)
+        monkeypatch.setattr(enumeration, "parking_to_game", spied)
+        report = verify_all(5, checks=["parking_round_trip"])
+        assert report.checks == [("parking_round_trip", False)]
+        assert len(returned) == 125 and returned[-1] == ((4, 4, 4, 4), 4)

@@ -522,22 +522,32 @@ def test_every_order_is_checked_alike(count):
 
 
 def assert_as_constructed(made):
-    """A map's output, built without its constructor's checks, equals, hashes
-    like and prints like the object the public constructor builds from a list
-    of the same entries, and stores its field in the canonical form: a tuple
-    of int tuple pairs, or a tuple of ints."""
-    field = dataclasses.fields(made)[1].name
-    stored = getattr(made, field)
-    public = type(made)(made.n, list(stored))
+    """A map's output, or a `replay` record, built without its constructor's
+    checks, equals, hashes like and prints like the object the public
+    constructor builds from the same fields (a map's entries given as a list),
+    holds exactly its fields and stays frozen.  A map's output stores its
+    field in the canonical form, a tuple of int tuple pairs or a tuple of
+    ints, and a record its arc label and ccw pair as int tuple pairs."""
+
+    def is_int_pair(entry):
+        return type(entry) is tuple and len(entry) == 2 and all(type(x) is int for x in entry)
+
+    fields = [getattr(made, f.name) for f in dataclasses.fields(made)]
+    for name in vars(made):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, name, None)
+    record = type(made) is MoveRecord
+    public = MoveRecord(*fields) if record else type(made)(made.n, list(fields[1]))
     assert made == public and hash(made) == hash(public) and {made: 0} == {public: 0}
-    assert repr(made) == repr(public)
+    assert repr(made) == repr(public) and vars(made) == vars(public)
+    if record:
+        assert is_int_pair(made.arc_label) and is_int_pair(made.ccw_pair)
+        return
     assert write(made, "text") == write(public, "text")
     assert write(made, "json") == write(public, "json")
-    assert type(made.n) is int and type(stored) is tuple
-    for entry in stored:
-        assert type(entry) is int or (
-            type(entry) is tuple and len(entry) == 2 and all(type(x) is int for x in entry)
-        )
+    assert type(made.n) is int and type(fields[1]) is tuple
+    for entry in fields[1]:
+        assert type(entry) is int or is_int_pair(entry)
 
 
 class TestMapOutputs:
@@ -549,6 +559,8 @@ class TestMapOutputs:
         pf, seq = game_to_parking(play), game_to_transpositions(play)
         for made in (pf, parking_to_game(pf), seq, transpositions_to_game(seq)):
             assert_as_constructed(made)
+        for record in replay(play).history:
+            assert_as_constructed(record)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_play(self, n):

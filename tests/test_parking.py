@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from planted_sprouts import (
     ParkingFunction,
     enumeration,
+    game,
     parking,
     PlaySequence,
     game_to_parking,
@@ -210,6 +211,14 @@ class TestParkingToGame:
         for values in brute_force_parking_functions(n) if n > 1 else {()}:
             pf = ParkingFunction(n, values)
             assert game_to_parking(parking_to_game(pf)).values == values
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_ends_on_any_values(self, n):
+        # the termination argument of the docstring, on every value tuple in 1..n-1,
+        # a parking function or not (46,656 at n = 7): n-1 sorted pairs of distinct labels
+        for values in itertools.product(range(1, n), repeat=n - 1):
+            moves = parking_to_game(game._made(ParkingFunction, n, "values", values)).moves
+            assert len(moves) == n - 1 and all(1 <= a < b <= n for a, b in moves), values
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_bijective_at_desk_scale(self, n):

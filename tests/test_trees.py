@@ -215,6 +215,8 @@ class TestPivot:
             (("1", 2), "edge labels must be integers, got ('1', 2)"),
             ((0, 5), "edge 0-5 is not a pair of distinct labels in 1..3"),
             ((2, 2), "edge 2-2 is not a pair of distinct labels in 1..3"),
+            ((), "edge () is not a pair of labels"),
+            (([1], 3), "edge labels must be integers, got ([1], 3)"),
         ],
     )
     def test_malformed_edge_message(self, edge, message):
