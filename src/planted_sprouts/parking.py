@@ -77,21 +77,36 @@ def parking_to_game(pf: ParkingFunction) -> PlaySequence:
     taken at most |R|-2, so need sums to <= -2 over R; a step adds >= -1, so
     the sum hits -1 at an x before v.  So x != v and i != j, and A then holds
     exactly |A|-1 values and the other side B at most |B|-1.
+
+    For a parking function, each region read clockwise from its first arm
+    (arm 1, or the i of the move that cut it off) is a plane tree's preorder,
+    and v cuts off the subtree of its first child left, i.  So a first arm v
+    with no value left cuts off all of R but v: x = last[v] is the arm before
+    v and j = v, in O(1).  On any values, that A holds at most |A|-1 values,
+    as v has none left, B = {v} none, and i != j.
     """
     n = pf.n
     nxt = [0, *range(2, n + 1), 1]
     need = [-1] * (n + 1)
     for v in pf.values:
         need[v] += 1
+    last = [0] * (n + 1)  # the arm before each first arm; a move gives i and j new ones
+    last[1] = n
     moves = []
     for v in pf.values:
         need[v] -= 1
         i = x = nxt[v]
-        total = need[x]
-        while total != -1:
-            x = nxt[x]
-            total += need[x]
-        j = nxt[x]
+        if need[v] < 0 and last[v]:  # v opens its region and has no value left
+            x, j = last[v], v  # v is left alone, so last[v] is never read again
+        else:
+            total = need[x]
+            while total != -1:
+                x = nxt[x]
+                total += need[x]
+            j = nxt[x]
+            if last[j]:
+                last[j] = v
+        last[i] = x
         nxt[v], nxt[x] = j, i
         moves.append((i, j) if i < j else (j, i))
     return _made(PlaySequence, n, "moves", tuple(moves))

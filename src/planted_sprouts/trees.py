@@ -237,8 +237,12 @@ def enumerate_noncrossing_trees(n: int):
                 for right in trees[m + 1, k]
                 for rest in trees[k, hi]
             ]
-    edge_tuples = sorted(trees[1, n], key=sorted)
-    return [_made(NoncrossingTree, n, "edges", frozenset(t)) for t in edge_tuples]
+    made, put = [], object.__setattr__  # not `_made`: no 64 B instance dict on kept trees
+    for t in sorted(trees[1, n], key=sorted):
+        made.append(tree := object.__new__(NoncrossingTree))
+        put(tree, "n", n)
+        put(tree, "edges", frozenset(t))
+    return made
 
 
 def count_endstates(n: int) -> int:

@@ -15,6 +15,7 @@ from planted_sprouts import (
     IllegalMoveError,
     MoveRecord,
     ParkingFunction,
+    PlaySequence,
     endstate_to_tree,
     enumerate_games,
     enumerate_noncrossing_trees,
@@ -164,3 +165,53 @@ class SerialPool:
         future = Future()
         future.set_result(fn(*args))
         return future
+
+
+def walk_parking_to_game(pf: ParkingFunction) -> PlaySequence:
+    """The reference that `parking_to_game` must match on parking functions:
+    each move walks clockwise from i = nxt[v] over the whole side it cuts off,
+    to the first arm x at which the running sum of need reaches -1."""
+    n = pf.n
+    nxt = [0, *range(2, n + 1), 1]
+    need = [-1] * (n + 1)
+    for v in pf.values:
+        need[v] += 1
+    moves = []
+    for v in pf.values:
+        need[v] -= 1
+        i = x = nxt[v]
+        total = need[x]
+        while total != -1:
+            x = nxt[x]
+            total += need[x]
+        j = nxt[x]
+        nxt[v], nxt[x] = j, i
+        moves.append((i, j) if i < j else (j, i))
+    return PlaySequence(n, tuple(moves))
+
+
+def value_families(n):
+    """Structured parking functions of order n, by name, on which
+    `walk_parking_to_game` is quadratic (increasing, and (n-1)//2 ones then
+    increasing) or linear (ones, decreasing)."""
+    h = (n - 1) // 2
+    return {
+        "increasing": tuple(range(1, n)),
+        "ones": (1,) * (n - 1),
+        "decreasing": tuple(range(n - 1, 0, -1)),
+        "ones-then-increasing": (1,) * h + tuple(range(h + 1, n)),
+    }
+
+
+def tree_families(n):
+    """Noncrossing trees on n vertices, by name, as edge lists: the star from
+    1, the path along the circle, the zigzag path 1, n, 2, n-1, 3, ..., and
+    the comb, a spine 1, 3, 5, ... with each even vertex a tooth on the odd
+    vertex before it."""
+    zigzag = [k for pair in zip(range(1, n + 1), range(n, 0, -1)) for k in pair][:n]
+    return {
+        "star": [(1, k) for k in range(2, n + 1)],
+        "path": [(k, k + 1) for k in range(1, n)],
+        "zigzag": [(min(a, b), max(a, b)) for a, b in zip(zigzag, zigzag[1:])],
+        "comb": [(k, k + 2) for k in range(1, n - 1, 2)] + [(k - 1, k) for k in range(2, n + 1, 2)],
+    }

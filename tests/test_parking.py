@@ -3,11 +3,13 @@
 import itertools
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planted_sprouts import (
+    NoncrossingTree,
     ParkingFunction,
     enumeration,
     game,
@@ -16,10 +18,18 @@ from planted_sprouts import (
     game_to_parking,
     is_parking_function,
     parking_to_game,
+    tree_to_canonical_game,
 )
 from planted_sprouts.formats import parking_from_text, parking_to_text
 
-from helpers import all_plays, parking_functions, pollak_shift
+from helpers import (
+    all_plays,
+    parking_functions,
+    pollak_shift,
+    tree_families,
+    value_families,
+    walk_parking_to_game,
+)
 
 
 def brute_force_parking_functions(n):
@@ -219,6 +229,38 @@ class TestParkingToGame:
         for values in itertools.product(range(1, n), repeat=n - 1):
             moves = parking_to_game(game._made(ParkingFunction, n, "values", values)).moves
             assert len(moves) == n - 1 and all(1 <= a < b <= n for a, b in moves), values
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_walk_on_every_parking_function(self, n):
+        # the O(1) cut, taken when v opens its region and has no value left,
+        # gives the play the walk over the cut side gives
+        for play in all_plays(n):
+            pf = game_to_parking(play)
+            assert parking_to_game(pf) == walk_parking_to_game(pf) == play
+
+    @pytest.mark.parametrize("family", [*value_families(3), *tree_families(3)])
+    def test_equals_the_walk_on_structured_families(self, family):
+        # n = 2000: the walk alone is quadratic on increasing, ones then
+        # increasing, the path, the zigzag and the comb, linear on the others
+        n = 2000
+        if family in value_families(n):
+            pf = ParkingFunction(n, value_families(n)[family])
+        else:
+            pf = game_to_parking(tree_to_canonical_game(NoncrossingTree(n, tree_families(n)[family])))
+        assert parking_to_game(pf) == walk_parking_to_game(pf)
+
+    def test_no_walk_over_the_cut_side_on_increasing_values(self):
+        # each move of increasing values cuts off all of its region but v, which
+        # the reference walks over, n^2/2 steps in all; the cut takes none, so it
+        # is about 150 times as fast at n = 3000, and a bound of 20 leaves room
+        pf = ParkingFunction(3000, value_families(3000)["increasing"])
+
+        def seconds(to_game):
+            start = time.perf_counter()
+            to_game(pf)
+            return time.perf_counter() - start
+
+        assert 20 * min(seconds(parking_to_game) for _ in range(3)) < seconds(walk_parking_to_game)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_bijective_at_desk_scale(self, n):
