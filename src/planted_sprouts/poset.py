@@ -38,17 +38,19 @@ class EdgePoset:
     covers: frozenset  # of (e, e') edge pairs, e before e'
 
     def minimal_elements(self) -> frozenset:
-        covered = {f for _, f in self.covers}
-        return frozenset(e for e in self.tree.edges if e not in covered)
+        return self.tree.edges.difference([f for _, f in self.covers])
 
 
 def build_poset(tree: NoncrossingTree) -> EdgePoset:
-    covers = frozenset(
-        ((v, w) if v < w else (w, v), (v, x) if v < x else (x, v))
-        for v, vs in enumerate(_tree_ccw(tree))
-        for w, x in zip(vs, vs[1:])  # {v, w} swings ccw around v onto {v, x}
-    )
-    return EdgePoset(tree=tree, covers=covers)
+    covers = []
+    for v, vs in enumerate(_tree_ccw(tree)):
+        e = None
+        for w in vs:  # {v, e's other end} swings ccw around v onto {v, w}
+            f = (v, w) if v < w else (w, v)
+            if e:
+                covers.append((e, f))
+            e = f
+    return EdgePoset(tree=tree, covers=frozenset(covers))
 
 
 def linear_extensions(poset: EdgePoset):

@@ -178,26 +178,28 @@ def tree_to_canonical_game(tree: NoncrossingTree) -> PlaySequence:
     cyclic interval [i, j) and no primary edge of the subgame starts below i,
     so side a holds the keys in (i, j), side b those above j, and one bisect
     splits the list.  Side a's least label is i; side b's is the subgame's if
-    that is below i, and j otherwise.  No recursion: an explicit stack.  A
-    key is minus the smaller end i of its edge, so every move (i, j) is one
-    of the tree's edges, already a sorted pair of int labels.
+    that is below i, and j otherwise.  No recursion: the loop goes on in the
+    side holding the smaller least label and stacks the other only if it has
+    keys, so an empty side never waits.  A key is minus the smaller end i of
+    its edge, so every move (i, j) is one of the tree's edges, already a
+    sorted pair of int labels.
     """
     n = tree.n
     nb = _tree_ccw(tree)
     first = [0] * (n + 1)  # nb[v][first[v]] is v's first unplayed neighbour
-    moves = []
-    stack = [(1, sorted(-v for v, _ in _primary(nb)))]  # (least label, keys)
-    while stack:
-        low, keys = stack.pop()
+    moves, stack = [], []  # stack: (least label, keys) of the sides still to play
+    low, keys = 1, sorted(-v for v, _ in _primary(nb))
+    while keys or stack:
         if not keys:
-            continue
+            low, keys = stack.pop()
         i = -keys.pop()
         j = nb[i][first[i]]
         moves.append((i, j))
         first[i] += 1
         first[j] += 1
-        k = bisect.bisect_left(keys, -j)
-        if 2 * k < len(keys):  # copy the shorter part; the longer keeps the list
+        if not keys:
+            a, b = keys, []
+        elif 2 * (k := bisect.bisect_left(keys, -j)) < len(keys):  # copy the shorter part
             b = keys[:k]
             del keys[:k]
             a = keys
@@ -210,7 +212,11 @@ def tree_to_canonical_game(tree: NoncrossingTree) -> PlaySequence:
                 w = nb[v][first[v]]
                 if nb[w][first[w]] == v:
                     bisect.insort(side, -min(v, w))
-        stack += ((j, b), (i, a)) if low == i else ((i, a), (low, b))
+        if low != i:  # the side holding low goes on, the other waits if it has keys
+            a, b, j = b, a, i
+        if b:
+            stack.append((j, b))
+        keys = a
     return _made(PlaySequence, n, "moves", tuple(moves))
 
 

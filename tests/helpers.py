@@ -4,6 +4,7 @@ Enumerations at a given order are reused by many tests; cache them once per
 session.
 """
 
+import bisect
 import random
 from concurrent.futures import Future
 from functools import lru_cache
@@ -215,3 +216,39 @@ def tree_families(n):
         "zigzag": [(min(a, b), max(a, b)) for a, b in zip(zigzag, zigzag[1:])],
         "comb": [(k, k + 2) for k in range(1, n - 1, 2)] + [(k - 1, k) for k in range(2, n + 1, 2)],
     }
+
+
+def stack_tree_to_canonical_game(tree) -> PlaySequence:
+    """The reference that `tree_to_canonical_game` must match at any n: the
+    same canonical play, each side of a move pushed on an explicit stack,
+    empty sides too, with ccw lists sorted afresh here.  Keys are the negated
+    smaller ends of a side's primary edges, ascending, least edge last; one
+    bisect at -j parts the keys above j (side b) from those in (i, j)."""
+    n = tree.n
+    nb = [[] for _ in range(n + 1)]
+    for i, j in tree.edges:
+        nb[i].append(j)
+        nb[j].append(i)
+    for v, vs in enumerate(nb):
+        vs.sort(key=lambda w: (v - w) % n)  # v-1, v-2, ..., 1, n, ..., v+1
+    first = [0] * (n + 1)  # nb[v][first[v]] is v's first unplayed neighbour
+    moves = []
+    stack = [(1, sorted(-v for v, vs in enumerate(nb) if vs and v < vs[0] and nb[vs[0]][0] == v))]
+    while stack:
+        low, keys = stack.pop()
+        if not keys:
+            continue
+        i = -keys.pop()
+        j = nb[i][first[i]]
+        moves.append((i, j))
+        first[i] += 1
+        first[j] += 1
+        k = bisect.bisect_left(keys, -j)
+        a, b = keys[k:], keys[:k]
+        for v, side in ((i, a), (j, b)):
+            if first[v] < len(nb[v]):
+                w = nb[v][first[v]]
+                if nb[w][first[w]] == v:
+                    bisect.insort(side, -min(v, w))
+        stack += ((j, b), (i, a)) if low == i else ((i, a), (low, b))
+    return PlaySequence(n, tuple(moves))

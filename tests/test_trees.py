@@ -26,7 +26,15 @@ from planted_sprouts import cli, game, poset, trees
 from planted_sprouts.formats import _from_json, edges_to_json
 from planted_sprouts.game import PlaySequence
 
-from helpers import all_plays, all_trees, parking_functions, pollak_shift, tree_of
+from helpers import (
+    all_plays,
+    all_trees,
+    parking_functions,
+    pollak_shift,
+    stack_tree_to_canonical_game,
+    tree_families,
+    tree_of,
+)
 
 # A completion of the worked eight-vertex example: the named edges are
 # {5,8}, {3,4}, {2,4}, {2,8}; the extra edges attach 1, 6, 7 without
@@ -293,9 +301,9 @@ class TestCanonicalRealization:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_reference_on_all_trees(self, n):
         for tree in all_trees(n):
-            assert tree_to_canonical_game(tree).moves == PlaySequence.of(
-                n, reference_canonical_moves(tree)
-            ).moves
+            expected = PlaySequence.of(n, reference_canonical_moves(tree)).moves
+            assert tree_to_canonical_game(tree).moves == expected
+            assert stack_tree_to_canonical_game(tree).moves == expected
 
     @settings(deadline=None, max_examples=40)
     @given(parking_functions(max_n=300))
@@ -303,6 +311,17 @@ class TestCanonicalRealization:
         tree = tree_of(*drawn)
         expected = PlaySequence.of(tree.n, reference_canonical_moves(tree))
         assert tree_to_canonical_game(tree) == expected
+
+    @pytest.mark.parametrize("shape", ["star", "path", "zigzag", "comb", "fan", "random"])
+    def test_matches_stack_reference_at_n_2000(self, shape):
+        n, m, rng = 2000, 1000, random.Random(5)
+        if shape == "fan":
+            tree = NoncrossingTree(n, [(min(m, k), max(m, k)) for k in range(1, n + 1) if k != m])
+        elif shape == "random":
+            tree = tree_of(n, pollak_shift(n, [rng.randrange(n) for _ in range(n - 1)]))
+        else:
+            tree = NoncrossingTree(n, tree_families(n)[shape])
+        assert tree_to_canonical_game(tree) == stack_tree_to_canonical_game(tree)
 
     def test_round_trip_large_random_tree(self):
         n, rng = 10**4, random.Random(3)
