@@ -4,6 +4,7 @@ Run with: python3 demos/walkthrough.py
 """
 
 from planted_sprouts import (
+    PlaySequence,
     build_poset,
     count_endstates,
     count_plays,
@@ -12,9 +13,7 @@ from planted_sprouts import (
     game_to_parking,
     game_to_transpositions,
     games_with_endstate,
-    legal_moves,
     linear_extensions,
-    new_game,
     parking_to_game,
     play_from_text,
     play_to_text,
@@ -34,9 +33,8 @@ def section(title):
 
 
 section("Playing a game")
-state = new_game(N)
-print(f"start: {len(state.subgames[0])} arms in one region, "
-      f"legal moves: {sorted(legal_moves(state))}")
+start = replay(PlaySequence(N, ()))
+print(f"start: {len(start.subgames)} region, arms {[short for short, _ in start.subgames[0]]}")
 
 play = play_from_text("n=4: 1-3,1-2,3-4")
 final = replay(play)

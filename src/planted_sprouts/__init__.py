@@ -31,8 +31,6 @@ from .game import (
     IllegalMoveError,
     MoveRecord,
     PlaySequence,
-    legal_moves,
-    new_game,
     replay,
 )
 from .parking import (

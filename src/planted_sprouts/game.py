@@ -134,23 +134,6 @@ class PlaySequence:
         return cls(n=n, moves=_sorted(pairs))
 
 
-def new_game(n: int) -> GameState:
-    """Initial state: one subgame with arms 1..n in clockwise order."""
-    return replay(PlaySequence(n, ()))
-
-
-def legal_moves(state: GameState):
-    """All (subgame index, (p, q)) position pairs, p < q, in the regions as the
-    state lists them; empty iff the state is complete."""
-    out = []
-    for si, sg in enumerate(state.subgames):
-        m = len(sg)
-        for p in range(m):
-            for q in range(p + 1, m):
-                out.append((si, (p, q)))
-    return out
-
-
 def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
     """The error for a move whose labels lie in different regions.  A move
     parts the arms it joins for good, so a repeated arc is always one."""

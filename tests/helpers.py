@@ -53,6 +53,11 @@ def pollak_shift(n, seq):
     return tuple((x - empty - 1) % n + 1 for x in seq)
 
 
+def initial_state(n):
+    """The state of the play with no moves: one region, arms 1..n clockwise."""
+    return replay(PlaySequence(n, ()))
+
+
 def apply_move(state: GameState, subgame_index: int, p: int, q: int) -> GameState:
     """The reference fold that `replay` must match, once re-listed by
     `canonical_state`: join the arms at positions p < q of one subgame,

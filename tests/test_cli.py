@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, round trips, exit codes."""
 
+import argparse
 import contextlib
 import decimal
 import io
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planted_sprouts import NoncrossingTree, endstate_to_tree, enumeration, game, play_from_text, replay
-from planted_sprouts.cli import main
+from planted_sprouts import parking, trees
+from planted_sprouts.cli import build_parser, main
 from planted_sprouts.formats import write
 
 from helpers import SerialPool
@@ -261,6 +263,119 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["counts"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,expected",
+    [
+        (["from-parking", "--n", "1", "--values", ""], "2,1", (0, "n=1:\n", "")),
+        (
+            ["from-transpositions", "--n", "1", "--transpositions", ""],
+            "2:3,1:2",
+            (0, "n=1:\n", ""),
+        ),
+        (
+            ["to-parking", "--play", ""],
+            "n=3: 1-2,2-3",
+            (2, "", "error: expected a play of the form 'n=<n>: i-j,i-j,...', got ''\n"),
+        ),
+    ],
+    ids=["values", "transpositions", "play"],
+)
+def test_an_empty_flag_is_read_and_stdin_is_not(capsys, monkeypatch, argv, stdin, expected):
+    # stdin stands in for an omitted flag only; '' given on the command line is the input
+    assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == expected
+    assert sys.stdin.read() == stdin
+
+
+def test_the_maps_are_looked_up_when_a_command_runs(capsys, monkeypatch):
+    # perfbench's tracer and the tests replace module attributes; a subcommand that held
+    # the function it found at import would still run the original
+    def refuse(play):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(trees, "enumerate_noncrossing_trees", lambda n: [])
+    monkeypatch.setattr(parking, "game_to_parking", refuse)
+    assert run(capsys, "enumerate-endstates", "3") == (0, "", "")
+    assert run(capsys, "to-parking", "--play", "n=3: 1-2,2-3") == (2, "", "error: refused\n")
+
+
+_HELP = (
+    "_HelpAction", ("-h", "--help"), "help", None, False, argparse.SUPPRESS, None,
+    "show this help message and exit",
+)
+_FORMAT = ("_StoreAction", ("--format",), "format", None, False, "text", ("text", "json"), None)
+_FORMAT_DOT = _FORMAT[:6] + (("text", "json", "dot"), None)
+_ORDER = ("_StoreAction", (), "n", int, True, None, None, None)
+_ORDER_FLAG = ("_StoreAction", ("--n",), "n", int, True, None, None, None)
+
+
+def _text_flag(flag, help_text, required=False):
+    return ("_StoreAction", (flag,), flag[2:], None, required, None, None, help_text)
+
+
+_PLAY_FLAG = _text_flag("--play", "play text or JSON; read from stdin if omitted")
+_EDGE_HELP = "edge list i-j,i-j,..."
+
+# Every subcommand in --help order: its help, then each of its actions as
+# (class, option strings, dest, type, required, default, choices, help).
+PARSER_SPEC = {
+    "counts": ("endstate, play, and plane-variant counts", [_FORMAT, _ORDER]),
+    "enumerate-games": ("stream every complete play, one per line", [_FORMAT, _ORDER]),
+    "enumerate-endstates": ("stream every distinct endstate", [_FORMAT, _ORDER]),
+    "to-tree": ("endstate tree of a complete play", [_FORMAT_DOT, _PLAY_FLAG]),
+    "to-parking": ("parking function of a complete play", [_FORMAT, _PLAY_FLAG]),
+    "to-transpositions": ("transposition sequence of a complete play", [_FORMAT, _PLAY_FLAG]),
+    "from-parking": (
+        "unique play realizing a parking function",
+        [_FORMAT, _ORDER_FLAG, _text_flag("--values", "comma-separated values; read from stdin if omitted")],
+    ),
+    "from-transpositions": (
+        "unique play with given transpositions",
+        [_FORMAT, _ORDER_FLAG, _text_flag("--transpositions", "a:b,a:b,...; read from stdin if omitted")],
+    ),
+    "realize-tree": (
+        "canonical play reaching a noncrossing tree",
+        [_FORMAT, _ORDER_FLAG, _text_flag("--edges", _EDGE_HELP, required=True)],
+    ),
+    "poset": (
+        "edge poset of a noncrossing tree",
+        [
+            _FORMAT_DOT,
+            _ORDER_FLAG,
+            _text_flag("--tree", _EDGE_HELP, required=True),
+            ("_StoreTrueAction", ("--dot",), "dot", None, False, False, None, "emit DOT instead of JSON"),
+        ],
+    ),
+    "verify": (
+        "run the cross-check suite at order n",
+        [
+            _FORMAT,
+            _ORDER,
+            _text_flag("--checks", "comma-separated check names (forces them past cutoffs)"),
+            ("_StoreAction", ("--jobs",), "jobs", int, False, 1, None, "parallel workers for play enumeration"),
+        ],
+    ),
+}
+
+
+def test_parser_spec():
+    # what --help prints, field by field, so a mistyped row shows on any Python
+    parser = build_parser()
+    assert parser.prog == "planted-sprouts"
+    assert parser.description == "Exact engine and bijections for the planted sprouts circle game."
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [
+        (name, help_text) for name, (help_text, _) in PARSER_SPEC.items()
+    ]
+    for name, (_, actions) in PARSER_SPEC.items():
+        got = [
+            (type(a).__name__, tuple(a.option_strings), a.dest, a.type, a.required, a.default)
+            + (None if a.choices is None else tuple(a.choices), a.help)
+            for a in sub.choices[name]._actions
+        ]
+        assert got == [_HELP, *actions], name
 
 
 def call(argv):

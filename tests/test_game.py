@@ -24,8 +24,6 @@ from planted_sprouts import (
     games_with_endstate,
     is_noncrossing_tree,
     is_parking_function,
-    legal_moves,
-    new_game,
     parking_to_game,
     play_from_text,
     play_to_text,
@@ -50,6 +48,7 @@ from helpers import (
     all_trees,
     apply_move,
     canonical_state,
+    initial_state,
     locate_labels,
     parking_functions,
     short_of,
@@ -62,67 +61,49 @@ def shorts(state):
 
 
 class TestNewGame:
+    """The state of the play with no moves, which every play starts from."""
+
     def test_order_4(self):
-        state = new_game(4)
+        state = initial_state(4)
         assert shorts(state) == [(1, 2, 3, 4)]
         assert state.history == ()
         assert all(long == short for sg in state.subgames for short, long in sg)
 
     def test_order_1_already_complete(self):
-        state = new_game(1)
-        assert state.is_complete()
-        assert legal_moves(state) == []
-
-    def test_order_3_has_three_first_moves(self):
-        assert len(legal_moves(new_game(3))) == 3
+        assert initial_state(1).is_complete()
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            new_game(0)
-
-
-class TestLegalMoves:
-    def test_initial_order_4(self):
-        assert len(legal_moves(new_game(4))) == 6
-
-    def test_after_two_two_split(self):
-        state = apply_move(new_game(4), 0, 0, 2)  # join 1 and 3
-        assert sorted(map(len, state.subgames)) == [2, 2]
-        assert len(legal_moves(state)) == 2
-
-    def test_complete_game_has_none(self):
-        for n in (1, 2, 3, 5):
-            final = replay(all_plays(n)[0])
-            assert legal_moves(final) == []
+            initial_state(0)
 
 
 class TestApplyMove:
     def test_split_order_4(self):
-        state = apply_move(new_game(4), 0, 0, 2)
+        state = apply_move(initial_state(4), 0, 0, 2)
         assert shorts(state) == [(1, 2), (3, 4)]
 
     def test_split_order_3_ccw_pair(self):
-        state = apply_move(new_game(3), 0, 1, 2)  # join 2 and 3
+        state = apply_move(initial_state(3), 0, 1, 2)  # join 2 and 3
         assert shorts(state) == [(2,), (3, 1)]
         assert state.history[-1].ccw_pair == (1, 2)
 
     def test_wraparound_neighbor(self):
         for n in (3, 5, 8):
-            state = apply_move(new_game(n), 0, 0, 1)  # join 1 and 2
+            state = apply_move(initial_state(n), 0, 0, 1)  # join 1 and 2
             assert shorts(state) == [(1,), tuple(range(2, n + 1))]
             assert state.history[-1].ccw_pair == (1, n)
 
     def test_long_labels_record_ancestry(self):
-        state = apply_move(new_game(4), 0, 0, 2)
+        state = apply_move(initial_state(4), 0, 0, 2)
         # new arms carry (old_i, old_j) and (old_j, old_i)
         assert state.subgames[0][0] == (1, (1, 3))
         assert state.subgames[1][0] == (3, (3, 1))
 
     def test_invalid_positions(self):
         with pytest.raises(ValueError):
-            apply_move(new_game(4), 0, 2, 2)
+            apply_move(initial_state(4), 0, 2, 2)
         with pytest.raises(ValueError):
-            apply_move(new_game(4), 1, 0, 1)
+            apply_move(initial_state(4), 1, 0, 1)
 
 
 class TestReplay:
@@ -223,7 +204,7 @@ class TestEndstateSignature:
     def test_incomplete_rejected(self):
         message = "state is not complete; some subgame still has two or more arms"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            endstate_to_tree(new_game(3))
+            endstate_to_tree(initial_state(3))
 
     def test_reversed_order_of_this_play_is_illegal(self):
         # the same arc set played as [{2,3},{1,2}] strands labels 1 and 2
@@ -270,8 +251,7 @@ def _cyclically_increasing(labels):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_state_invariants_exhaustive(n):
     for play in all_plays(n):
-        state = new_game(n)
-        assert replay(PlaySequence(n, ())) == state
+        state = initial_state(n)
         seen_arcs = set()
         for k, (i, j) in enumerate(play.moves):
             loc = locate_labels(state)
@@ -505,7 +485,7 @@ class TestCanonicalForm:
 @pytest.mark.parametrize(
     "count",
     [
-        new_game,
+        initial_state,
         lambda n: next(game._walk_plays(n)),
         count_plays,
         count_plays_recursive,
