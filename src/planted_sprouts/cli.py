@@ -15,6 +15,17 @@ import sys
 from . import enumeration, factorizations, formats, game, parking, poset, trees
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads `--opt=--` as the text '--', as 3.13 does; 3.10-3.12 store [] for it."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.nargs is None:  # only `--opt=--` gives this
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def _read(text):
     """A text flag's value, or stdin when the flag is omitted: '' is a value."""
     return sys.stdin.read() if text is None else text
@@ -69,12 +80,12 @@ _COMMANDS = (
            ("--jobs", {"type": int, "default": 1,
                        "help": "parallel workers for play enumeration"})),
      lambda a: [enumeration.verify_all(
-         a.n, checks=a.checks.split(",") if a.checks else None, jobs=a.jobs)]),
+         a.n, checks=None if a.checks is None else a.checks.split(","), jobs=a.jobs)]),
 )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planted-sprouts",
         description="Exact engine and bijections for the planted sprouts circle game.",
     )
@@ -94,9 +105,11 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:  # lifted for this call only: counts are exact; b_1400 has 4406 digits
         sys.set_int_max_str_digits(0)
-    fmt = "dot" if getattr(args, "dot", False) else args.format
-    code = 0
+    code, dot = 0, getattr(args, "dot", False)  # `poset --dot` spells `--format dot`
+    fmt = "dot" if dot else args.format
     try:
+        if dot and args.format == "json":
+            raise ValueError("--dot conflicts with --format json")
         for result in args.func(args):
             print(formats.write(result, fmt), end="")
             if isinstance(result, enumeration.CountReport) and not result.passed:

@@ -19,8 +19,8 @@ from .game import PlaySequence, _ccw_pairs, _made, _order, _pairs, _sorted
 
 
 def successor_cycle(n: int) -> tuple:
-    """The cycle k -> k+1 (mod n) as an image tuple."""
-    return tuple(k % n + 1 for k in range(1, n + 1))
+    """The cycle k -> k+1 (mod n) as an image tuple, n >= 1."""
+    return (*range(2, n + 1), 1)
 
 
 def compose_in_order(n: int, transpositions) -> tuple:

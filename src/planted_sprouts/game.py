@@ -50,7 +50,7 @@ class GameState:
     history: tuple  # tuple of MoveRecord
 
     def is_complete(self) -> bool:
-        return all(len(sg) == 1 for sg in self.subgames)
+        return all(map((1).__eq__, map(len, self.subgames)))
 
 
 def _order(n) -> None:
@@ -232,18 +232,21 @@ def replay(play: PlaySequence) -> GameState:
     The moves run through `_joins`, and the state is read off the nxt it
     returns, once: a region's labels increase clockwise from its least one,
     the one k with prv[k] >= k.  A new arm's long label is its old one paired
-    with the other arm's.
+    with the other arm's.  Once n-1 moves are accepted, each region is one
+    arm, so a complete play's regions are read in one zip, without the walk.
     """
     ccws, nxt, prv = _joins(play)
     long, new = list(range(play.n + 1)), object.__new__
     history = []
     for arc, ccw in zip(play.moves, ccws):
         i, j = arc
-        pair = long[i], long[j]
-        long[i], long[j] = pair, pair[::-1]
+        pair = li, lj = long[i], long[j]
+        long[i], long[j] = pair, (lj, li)
         history.append(record := new(MoveRecord))  # filled as `_made` fills its objects
         fields = record.__dict__
         fields["arc_label"], fields["ccw_pair"], fields["long_pair"] = arc, ccw, pair
+    if len(history) == play.n - 1:  # a longer play fails in `_joins`
+        return GameState(play.n, tuple(zip(zip(range(1, play.n + 1), long[1:]))), tuple(history))
     subgames = []
     for k in range(1, play.n + 1):
         if prv[k] >= k:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .game import PlaySequence, _made, _order, _pairs, _sorted
 
@@ -73,11 +74,12 @@ class NoncrossingTree:
                 why = "; an edge is repeated"
             if why or len(pairs) != n - 1:
                 raise ValueError("not n-1 distinct edges")
-            # Sweep chords by left end, longest first, keeping the right ends of
-            # the chords around the sweep point, innermost last: a chord crosses
-            # one of them iff it ends past the innermost one still open.
-            ends = []
-            for a, b in sorted(pairs, key=lambda e: (e[0], -e[1])):
+            # Sweep chords by left end, longest first (two stable sorts on C keys),
+            # keeping the right ends of the chords around the sweep point, innermost
+            # last: a chord crosses one of them iff it ends past the innermost one open.
+            ends, order = [], sorted(pairs, key=itemgetter(1), reverse=True)
+            order.sort(key=itemgetter(0))
+            for a, b in order:
                 while ends and ends[-1] <= a:
                     ends.pop()
                 if ends and ends[-1] < b:
@@ -117,7 +119,7 @@ def endstate_to_tree(state) -> NoncrossingTree:
     constructor tests that they are n-1 distinct edges."""
     if not state.is_complete():
         raise ValueError(_INCOMPLETE)
-    return NoncrossingTree(state.n, tuple(record.arc_label for record in state.history))
+    return NoncrossingTree(state.n, tuple(map(attrgetter("arc_label"), state.history)))
 
 
 def _primary(nb) -> list:

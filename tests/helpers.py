@@ -5,6 +5,7 @@ session.
 """
 
 import bisect
+import itertools
 import random
 from concurrent.futures import Future
 from functools import lru_cache
@@ -122,6 +123,44 @@ def locate_labels(state: GameState) -> dict:
         for pos, (short, _) in enumerate(sg):
             loc[short] = (si, pos)
     return loc
+
+
+def fold_play(play: PlaySequence) -> GameState:
+    """The state after `play` by the `apply_move` fold from the initial state,
+    in the layout `replay` gives; the play must be legal."""
+    state = GameState(play.n, (tuple((k, k) for k in range(1, play.n + 1)),), ())
+    for i, j in play.moves:
+        loc = locate_labels(state)
+        (si, p), (sj, q) = loc[i], loc[j]
+        assert si == sj, (play, i, j)
+        state = apply_move(state, si, min(p, q), max(p, q))
+    return canonical_state(state)
+
+
+def reference_is_noncrossing_tree(n, edges) -> bool:
+    """The tree check read off its definition, with no sort and no sweep:
+    n-1 distinct pairs i < j of labels in 1..n, no two of them crossing
+    (a < c < b < d, or the mirror case c < a < d < b), and every vertex
+    reached from vertex 1 by a depth-first search."""
+    edges = list(edges)
+    if len(set(edges)) != len(edges) or len(edges) != n - 1:
+        return False
+    if not all(1 <= a < b <= n for a, b in edges):
+        return False
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if a < c < b < d or c < a < d < b:
+            return False
+    adjacent = {v: [] for v in range(1, n + 1)}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, stack = {1}, [1]
+    while stack:
+        for w in adjacent[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def cycle_count(perm: tuple) -> int:

@@ -546,6 +546,65 @@ def test_golden_bytes(command):
     assert call(shlex.split(command)) == GOLDEN[command]
 
 
+_PLAY_FORM = "error: expected a play of the form 'n=<n>: i-j,i-j,...', got '--'\n"
+_BAD_EDGE = "error: bad edge token '--'; expected 'i-j'\n"
+
+# `--flag=--` on each text flag: Python 3.13's argparse reads the value as the
+# text '--', 3.10-3.12's store [] unless the parser reads it as 3.13 does
+DOUBLE_DASH = {
+    "to-tree --play=--": (2, "", _PLAY_FORM),
+    "to-parking --play=--": (2, "", _PLAY_FORM),
+    "to-transpositions --play=--": (2, "", _PLAY_FORM),
+    "from-parking --n 3 --values=--": (2, "", "error: invalid literal for int() with base 10: '--'\n"),
+    "from-transpositions --n 3 --transpositions=--": (
+        2,
+        "",
+        "error: bad transposition token '--'; expected 'a:b'\n",
+    ),
+    "realize-tree --n 3 --edges=--": (2, "", _BAD_EDGE),
+    "poset --n 3 --tree=--": (2, "", _BAD_EDGE),
+    "verify 3 --checks=--": (2, "", f"error: unknown checks: ['--']; known: {_CHECKS}\n"),
+}
+
+
+@pytest.mark.parametrize("command", DOUBLE_DASH)
+def test_a_text_flag_of_double_dash_is_read_as_text(command):
+    assert call(shlex.split(command)) == DOUBLE_DASH[command]
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("verify 3 --jobs=--", "argument --jobs: invalid int value: '--'"),
+        ("poset --n=-- --tree 1-2", "argument --n: invalid int value: '--'"),
+        ("counts 3 --format=--", "argument --format: invalid choice: '--'"),
+    ],
+)
+def test_an_option_of_double_dash_is_a_usage_error(capsys, command, message):
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(command))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"planted-sprouts {command.split()[0]}: error: {message}")
+
+
+def test_an_empty_check_list_names_one_unknown_check():
+    # '' is a selection like any other value, not the default suite
+    expected = f"error: unknown checks: ['']; known: {_CHECKS}\n"
+    assert call(["verify", "3", "--checks", ""]) == (2, "", expected)
+
+
+def test_poset_dot_conflicts_with_format_json_only():
+    argv = ["poset", "--n", "4", "--tree", "1-2,1-3,3-4"]
+    assert call(argv + ["--format", "json", "--dot"]) == (
+        2,
+        "",
+        "error: --dot conflicts with --format json\n",
+    )
+    for extra in (["--dot"], ["--format", "dot"], ["--format", "text", "--dot"]):
+        assert call(argv + extra) == (0, _POSET4_DOT, ""), extra
+
+
 def test_counts_print_exact_integers_of_any_size():
     # b_1400 has 4406 digits, past Python's default limit on int -> str; the
     # digits are read back as a Decimal, which that limit does not cover

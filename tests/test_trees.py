@@ -31,6 +31,7 @@ from helpers import (
     all_trees,
     parking_functions,
     pollak_shift,
+    reference_is_noncrossing_tree,
     stack_tree_to_canonical_game,
     tree_families,
     tree_of,
@@ -111,6 +112,19 @@ class TestIsNoncrossingTree:
 
     def test_n5_filter_count(self):
         assert len(brute_force_ncts(5)) == 55
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_verdict_is_the_definition_on_every_chord_set(self, n):
+        # every (n-1)-subset of chords, in lexicographic and in reversed order,
+        # against pairwise crossing tests and a search, with no sort and no sweep
+        chords = list(combinations(range(1, n + 1), 2))
+        accepted = 0
+        for edges in combinations(chords, n - 1):
+            expected = reference_is_noncrossing_tree(n, edges)
+            assert is_noncrossing_tree(n, edges) == expected, edges
+            assert is_noncrossing_tree(n, edges[::-1]) == expected, edges
+            accepted += expected
+        assert accepted == count_endstates(n)
 
     def test_invalid_tree_constructor(self):
         with pytest.raises(ValueError):
