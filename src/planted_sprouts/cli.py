@@ -73,7 +73,7 @@ _COMMANDS = (
      lambda a: [trees.tree_to_canonical_game(formats.tree_from_text(a.n, a.edges))]),
     ("poset", "edge poset of a noncrossing tree", ("dot",),
      _FLAG_N + (("--tree", _EDGES),
-                ("--dot", {"action": "store_true", "help": "emit DOT instead of JSON"})),
+                ("--dot", {"action": "store_true", "help": "emit DOT (same as --format dot)"})),
      lambda a: [poset.build_poset(formats.tree_from_text(a.n, a.tree))]),
     ("verify", "run the cross-check suite at order n", (),
      _N + (("--checks", {"help": "comma-separated check names (forces them past cutoffs)"}),

@@ -24,6 +24,7 @@ from planted_sprouts import (
     parking_to_game,
     replay,
 )
+from planted_sprouts.game import _made
 
 
 @lru_cache(maxsize=None)
@@ -296,3 +297,96 @@ def stack_tree_to_canonical_game(tree) -> PlaySequence:
                     bisect.insort(side, -min(v, w))
         stack += ((j, b), (i, a)) if low == i else ((i, a), (low, b))
     return PlaySequence(n, tuple(moves))
+
+
+def level_linear_extensions(poset):
+    """The reference that `linear_extensions` must match, with every level
+    tested, the last edge's too: all total orders of the tree's edges
+    extending the cover relation, in lexicographic order, level by level.
+    Edge k of the sorted edges is bit k and need[k] holds the bits of its
+    lower covers, so it can come next iff the placed bits, masked to bit k
+    and need[k], are exactly need[k]."""
+    edges = sorted(poset.tree.edges)
+    index = {e: k for k, e in enumerate(edges)}
+    need = [0] * len(edges)
+    for a, b in poset.covers:
+        need[index[b]] |= 1 << index[a]
+    steps = [(e, 1 << k, need[k] | 1 << k, need[k]) for k, e in enumerate(edges)]
+    orders = [((), 0)]  # (order so far, bits of its edges)
+    for _ in edges:
+        orders = [
+            (order + (e,), placed | bit)
+            for order, placed in orders
+            for e, bit, mask, req in steps
+            if placed & mask == req
+        ]
+    return [order for order, _ in orders]
+
+
+def stack_games_with_endstate(tree):
+    """The reference that `games_with_endstate` must match, which tests
+    every unplayed arc at every prefix and plays the last arc alone: all
+    legal plays whose arc set is the tree's edges, by the game rules alone
+    (no covers), depth first with unplayed arcs in lexicographic order.
+    Moves only split regions, so a prefix that parts the ends of an unplayed
+    arc is pruned, and at any other prefix every unplayed arc is legal.
+
+    Regions are cycles of successor arrays, as in `game._joins`: joining x
+    and y stores nxt[prv[x]] = y and nxt[prv[y]] = x, so x's new region is
+    the run x, nxt[x], ... up to the arm before y, read before the join.
+    Arc k of the sorted edges is bit k of `unplayed`, and incident[v] holds
+    the bits of the arcs at v.  An unplayed arc other than k is cut iff
+    exactly one of its ends lies in that run, which is iff its bit is set in
+    the XOR of incident[] over the run; arc k's own bit is set there and is
+    not tested.  So a pruned arc costs one walk and no join.  A surviving
+    arc is joined only if arcs are left after it, and the backtrack undoes
+    it with the same join.
+
+    The walk ends.  At every surviving prefix every unplayed arc lies in one
+    region, for any edge set, so the run from x meets y within that region's
+    length; if it came back to x instead, a prune was missed, and it raises
+    RuntimeError rather than loop.  An explicit stack of played arcs replaces
+    the recursion, never deeper than the edge count: undoing the last arc k
+    resumes its stage at arc k+1, and a stage's k only rises.  Every move is
+    one of the tree's edges, already a sorted pair of int labels."""
+    n, edges = tree.n, sorted(tree.edges)
+    if not edges:
+        return [_made(PlaySequence, n, "moves", ())]
+    nxt, prv = [1, *range(2, n + 1), 1], [n, n, *range(1, n)]
+    incident = [0] * (n + 1)
+    for k, (x, y) in enumerate(edges):
+        incident[x] |= 1 << k
+        incident[y] |= 1 << k
+    out, path, played = [], [], []  # plays found, arcs played, their bits
+    unplayed, k = (1 << len(edges)) - 1, 0
+    while True:
+        if unplayed >> k:  # an unplayed arc at k or above
+            if not unplayed >> k & 1:
+                k += 1
+                continue
+            x, y = arc = edges[k]
+            cut, z = incident[x], nxt[x]
+            while z != y:
+                if z == x:
+                    raise RuntimeError(f"arc {x}-{y} lies across two regions")
+                cut ^= incident[z]
+                z = nxt[z]
+            rest = unplayed ^ 1 << k
+            if cut & rest or not rest:
+                if not rest:
+                    out.append(_made(PlaySequence, n, "moves", (*path, arc)))
+                k += 1
+                continue
+            path.append(arc)
+            played.append(k)
+            unplayed, k = rest, 0
+        elif played:
+            x, y = path.pop()
+            k = played.pop()
+            unplayed |= 1 << k
+            k += 1
+        else:
+            return out
+        a, b = prv[x], prv[y]  # join x and y, or undo their join
+        nxt[a], nxt[b] = y, x
+        prv[x], prv[y] = b, a

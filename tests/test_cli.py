@@ -344,7 +344,7 @@ PARSER_SPEC = {
             _FORMAT_DOT,
             _ORDER_FLAG,
             _text_flag("--tree", _EDGE_HELP, required=True),
-            ("_StoreTrueAction", ("--dot",), "dot", None, False, False, None, "emit DOT instead of JSON"),
+            ("_StoreTrueAction", ("--dot",), "dot", None, False, False, None, "emit DOT (same as --format dot)"),
         ],
     ),
     "verify": (

@@ -22,7 +22,14 @@ from planted_sprouts import (
 from planted_sprouts.formats import poset_to_dot, poset_to_json
 from planted_sprouts.poset import EdgePoset
 
-from helpers import all_plays, all_trees, parking_functions, tree_of
+from helpers import (
+    all_plays,
+    all_trees,
+    level_linear_extensions,
+    parking_functions,
+    stack_games_with_endstate,
+    tree_of,
+)
 
 EIGHT_VERTEX_TREE = NoncrossingTree.from_edges(
     8, [(1, 8), (2, 8), (2, 4), (3, 4), (5, 8), (5, 6), (5, 7)]
@@ -162,6 +169,13 @@ class TestLinearExtensions:
         counts = [len(linear_extensions(build_poset(t))) for t in all_trees(3)]
         assert counts == [1, 1, 1]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_level_loop_on_all_trees(self, n):
+        # the last edge placed without a test, against every level tested
+        for tree in all_trees(n):
+            poset = build_poset(tree)
+            assert linear_extensions(poset) == level_linear_extensions(poset), tree
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_extension_counts_sum_to_play_count(self, n):
         total = sum(len(linear_extensions(build_poset(t))) for t in all_trees(n))
@@ -176,6 +190,30 @@ PLAY_DIGESTS = {
     **EXTENSION_DIGESTS,
     8: "5aab5c4e2a1d072ca302f6d76448fa82257cbdc95aeb9e68c50d973e61ae5797",
 }
+
+
+def survivors(n, prefix, unplayed):
+    """The unplayed arcs that, played after `prefix`, leave every other
+    unplayed arc inside one region, read off the regions of `replay`."""
+    found = set()
+    for arc in unplayed:
+        try:
+            state = replay(PlaySequence(n, (*prefix, arc)))
+        except IllegalMoveError:
+            continue
+        region = {short: r for r, subgame in enumerate(state.subgames) for short, _ in subgame}
+        if all(region[a] == region[b] for a, b in unplayed - {arc}):
+            found.add(arc)
+    return found
+
+
+def chord_sets(n):
+    """Every set of 1..n-1 chords of the n-gon, as a `NoncrossingTree` built
+    unchecked: crossing sets, cycles and forests among them."""
+    chords = list(itertools.combinations(range(1, n + 1), 2))
+    for size in range(1, n):
+        for arcs in itertools.combinations(chords, size):
+            yield game._made(NoncrossingTree, n, "edges", frozenset(arcs))
 
 
 class TestGamesWithEndstate:
@@ -201,6 +239,34 @@ class TestGamesWithEndstate:
             expected = by_signature.get(tree.edges, [])
             assert [p.moves for p in games_with_endstate(tree)] == [p.moves for p in expected]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_stack_walk_on_all_trees(self, n):
+        # survivors carried down and the last two moves written at once,
+        # against every arc tested at every prefix
+        for tree in all_trees(n):
+            assert games_with_endstate(tree) == stack_games_with_endstate(tree), tree
+
+    @pytest.mark.parametrize(
+        "n, edge_sets", [(n, all_trees) for n in range(1, 7)] + [(n, chord_sets) for n in range(2, 6)]
+    )
+    def test_a_survivor_survives_another_survivors_move(self, n, edge_sets):
+        # the two facts of the walk's docstring, by replay alone: at every
+        # prefix of survivors, each survivor but the one played survives the
+        # move (fact 1), and the one arc left after a survivor is legal (fact
+        # 2); and playing survivors alone reaches every play of the edges
+        for edges in edge_sets(n):
+            plays, stack = [], [((), frozenset(edges.edges), frozenset())]
+            while stack:
+                prefix, unplayed, inherited = stack.pop()
+                ok = survivors(n, prefix, unplayed)
+                assert inherited <= ok, (edges, prefix)
+                if len(unplayed) == 1:
+                    assert ok == unplayed, (edges, prefix)
+                if not unplayed:
+                    plays.append(prefix)
+                stack.extend(((*prefix, arc), unplayed - {arc}, ok - {arc}) for arc in ok)
+            assert sorted(plays) == [p.moves for p in stack_games_with_endstate(edges)], edges
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_extensions_equal_compatible_play_orders(self, n):
         for tree in all_trees(n):
@@ -221,13 +287,11 @@ class TestGamesWithEndstate:
 
         sets = 0
         for n in range(1, 6):
-            chords = list(itertools.combinations(range(1, n + 1), 2))
-            for size in range(1, n):
-                for arcs in itertools.combinations(chords, size):
-                    sets += 1
-                    edges = game._made(NoncrossingTree, n, "edges", frozenset(arcs))
-                    expected = [o for o in itertools.permutations(arcs) if legal(n, o)]
-                    assert [p.moves for p in games_with_endstate(edges)] == expected, arcs
+            for edges in chord_sets(n):
+                sets += 1
+                arcs = sorted(edges.edges)
+                expected = [o for o in itertools.permutations(arcs) if legal(n, o)]
+                assert [p.moves for p in games_with_endstate(edges)] == expected, arcs
         assert sets == 433
 
     @settings(deadline=None, max_examples=60)
