@@ -73,8 +73,8 @@ section("Counting")
 print(f"n={N}: {count_endstates(N)} endstates, {count_plays(N)} plays")
 by_tree = {}
 for p in enumerate_games(N):
-    by_tree.setdefault(endstate_to_tree(replay(p)).edges, 0)
-    by_tree[endstate_to_tree(replay(p)).edges] += 1
+    edges = endstate_to_tree(replay(p)).edges
+    by_tree[edges] = by_tree.get(edges, 0) + 1
 print("plays per endstate:", sorted(by_tree.values(), reverse=True))
 
 section("Full cross-check")

@@ -143,6 +143,9 @@ def _illegal(play: PlaySequence, index: int) -> IllegalMoveError:
     return IllegalMoveError(index, f"labels {i} and {j} lie in different subgames")
 
 
+_last_joins = (None, None), (None, None)  # the last two plays and their results, most recent first
+
+
 def _joins(play: PlaySequence) -> tuple:
     """The one move loop of `replay` and the maps: join the moves of `play`
     from the start; return their sorted ccw pairs and the successor arrays.
@@ -154,7 +157,22 @@ def _joins(play: PlaySequence) -> tuple:
     new regions of i and j are walked at once until one closes, so a move
     costs its smaller side, O(n log n) over a play.  A merge leaves i and j on
     one cycle of length L, so x meets j below step L, before either walk
-    closes: x == j alone shows a merge, the first illegal move."""
+    closes: x == j alone shows a merge, the first illegal move.
+
+    The results of the last two plays are kept, keyed on the play object, as
+    `trees._tree_ccw` keeps its last tree's lists: the maps are called in
+    turn on a play and on the canonical play of its tree, so two entries let
+    each run through the loop once.  A hit on the older entry makes it the
+    newer.  Holding a play keeps its id from being reused, each entry is
+    rebound as one tuple, and a play that raises is never kept, so it raises
+    alike every time.  No caller may mutate nxt or prv."""
+    global _last_joins
+    first, second = _last_joins
+    if first[0] is play:
+        return first[1]
+    if second[0] is play:
+        _last_joins = second, first
+        return second[1]
     n, pairs = play.n, []
     nxt, prv = [1, *range(2, n + 1), 1], [n, n, *range(1, n)]
     for i, j in play.moves:
@@ -167,7 +185,9 @@ def _joins(play: PlaySequence) -> tuple:
             if x == j:
                 raise _illegal(play, len(pairs) - 1)
             x, y = nxt[x], nxt[y]
-    return tuple(pairs), nxt, prv
+    result = tuple(pairs), nxt, prv
+    _last_joins = (play, result), first
+    return result
 
 
 def _ccw_pairs(play: PlaySequence) -> tuple:

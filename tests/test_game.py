@@ -48,6 +48,7 @@ from helpers import (
     all_trees,
     apply_move,
     canonical_state,
+    fold_play,
     initial_state,
     locate_labels,
     parking_functions,
@@ -151,19 +152,35 @@ class TestReplay:
     def test_ccw_pairs_agree_with_replay(self, n, extra):
         # every sequence of n-1 (extra 0) or n (extra 1) sorted pairs: replay
         # and both maps share the move loop `game._joins`, so each is held to
-        # the positional fold, which shares no code with it
+        # the positional fold, which shares no code with it; each map gets a
+        # play of its own, so none reads the loop's result kept for another
         for moves, ccw, error in fold_outcomes(n, n - 1 + extra):
-            play = PlaySequence(n, moves)
-            for fn, read, expected in (
-                (replay, lambda state: tuple(rec.ccw_pair for rec in state.history), ccw),
-                (game_to_parking, lambda pf: pf.values, ccw and tuple(a for a, _ in ccw)),
-                (game_to_transpositions, lambda seq: seq.transpositions, ccw),
-            ):
-                try:
-                    outcome = read(fn(play)), None
-                except IllegalMoveError as err:
-                    outcome = None, (err.index, err.reason)
-                assert outcome == (expected, error), (fn.__name__, moves)
+            for (fn, read), expected in zip(MAP_READS, fold_expected(ccw, error)):
+                outcome = map_outcome(fn, read, PlaySequence(n, moves))
+                assert outcome == expected, (fn.__name__, moves)
+
+
+# the three maps that run a play through `game._joins`, each with what it reads of the play
+MAP_READS = (
+    (replay, lambda state: tuple(rec.ccw_pair for rec in state.history)),
+    (game_to_parking, lambda pf: pf.values),
+    (game_to_transpositions, lambda seq: seq.transpositions),
+)
+
+
+def map_outcome(fn, read, play):
+    """(what `read` gives of fn(play), None), or (None, (index, reason)) of
+    the IllegalMoveError it raises."""
+    try:
+        return read(fn(play)), None
+    except IllegalMoveError as err:
+        return None, (err.index, err.reason)
+
+
+def fold_expected(ccw, error):
+    """The outcomes of `MAP_READS` on a sequence that `fold_outcomes` gives
+    as (ccw pairs, error)."""
+    return [(ccw, error), (ccw and tuple(a for a, _ in ccw), error), (ccw, error)]
 
 
 def fold_outcomes(n, length):
@@ -193,6 +210,78 @@ def fold_outcomes(n, length):
 
     start = GameState(n, (tuple((k, k) for k in range(1, n + 1)),), ())
     yield from extend((), start, None)
+
+
+class TestMoveLoopMemo:
+    """`game._joins` keeps the results of the last two plays asked for."""
+
+    @pytest.mark.parametrize(
+        ("n", "extra"), [(n, extra) for n in range(1, 6) for extra in (0, 1) if (n, extra) != (5, 1)]
+    )
+    def test_every_order_between_other_plays(self, n, extra):
+        # the three maps on one play object in all 6 orders; before each call,
+        # 0, 1 or 2 maps on the last two legal plays, so its entry is hit first,
+        # hit second and swapped, or evicted, and an illegal play never enters.
+        # n moves at n = 5 are left out: 100,000 illegal sequences, 17 s on 2 CPUs
+        before = [
+            (PlaySequence(n, p.moves), fold_expected(tuple(r.ccw_pair for r in fold_play(p).history), None))
+            for p in all_plays(n)[-2:]
+        ]
+        for moves, ccw, error in fold_outcomes(n, n - 1 + extra):
+            play, expected = PlaySequence(n, moves), fold_expected(ccw, error)
+            for o, order in enumerate(itertools.permutations(range(3))):
+                for k, m in enumerate(order):
+                    for other, outcomes in before[: (o + k) % 3]:
+                        assert map_outcome(*MAP_READS[m], other) == outcomes[m], other
+                    assert map_outcome(*MAP_READS[m], play) == expected[m], (order, moves)
+            if error is None:
+                before = [(play, expected), *before[:1]]
+
+    @staticmethod
+    def fresh(play):
+        # the loop's result for an equal play object that no entry holds
+        return game._joins(PlaySequence(play.n, play.moves))
+
+    def test_an_illegal_play_is_never_an_entry(self):
+        legal, illegal = PlaySequence(3, [(1, 2), (2, 3)]), PlaySequence(3, [(1, 2), (1, 3)])
+        replay(legal)
+        held = game._last_joins
+        for fn, _ in MAP_READS * 2:
+            with pytest.raises(IllegalMoveError, match="index 1: labels 1 and 3"):
+                fn(illegal)
+            assert game._last_joins is held
+        assert held[0][0] is legal
+
+    @staticmethod
+    def holds(newer, older):
+        (first, _), (second, _) = game._last_joins
+        return first is newer and second is older
+
+    def test_cache_holds_two_plays(self):
+        a, b, c = (PlaySequence(4, play.moves) for play in all_plays(4)[:3])
+        replay(a)
+        assert game._last_joins[0][0] is a
+        game_to_parking(b)
+        assert self.holds(b, a)
+        game_to_transpositions(b)  # a hit on the newer entry keeps the order
+        assert self.holds(b, a)
+        replay(a)  # a hit on the older entry swaps them
+        assert self.holds(a, b)
+        game_to_parking(c)  # a miss evicts the older entry
+        assert self.holds(c, a)
+        (_, (pairs_c, *_)), (_, (pairs_a, *_)) = game._last_joins
+        assert (pairs_c, pairs_a) == (self.fresh(c)[0], self.fresh(a)[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_replay_of_a_partial_play_twice(self, n):
+        # replay reads nxt for a partial play; reading it leaves it as the loop made it
+        for complete in all_plays(n):
+            for cut in range(n - 1):
+                play = PlaySequence(n, complete.moves[:cut])
+                first = replay(play)
+                assert replay(play) == first == fold_play(play)
+                held, kept = game._last_joins[0]
+                assert held is play and kept == self.fresh(play)
 
 
 class TestEndstateSignature:
